@@ -11,12 +11,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, ResourceLimitError
 from .exact import (
     DEFAULT_LIMITS,
     ExactLimits,
+    check_states,
+    check_states_position_dp,
     states_input_mi,
-    states_position_dp,
     states_shuffle_only,
 )
 from .mechanisms import Randomizer, make_krr
@@ -245,34 +246,28 @@ def validate_config(
 
     if explicit and "exact" in methods:
         for n in cfg.n_grid:
-            states = _exact_states(cfg, n)
-            if states is not None and states > limits.max_states:
+            try:
+                _check_exact_states(cfg, n, limits)
+            except ResourceLimitError as exc:
                 diags.append(
-                    Diagnostic(
-                        "n_grid",
-                        f"resource-limit: exact method at n={n} needs {states} states "
-                        f"(ceiling {limits.max_states})",
-                    )
+                    Diagnostic("n_grid", f"resource-limit: exact method at n={n}: {exc}")
                 )
     return diags
 
 
-def _exact_states(cfg: ExperimentConfig, n: int) -> int | None:
+def _check_exact_states(cfg: ExperimentConfig, n: int, limits: ExactLimits) -> None:
+    """The state-ceiling check the exact oracle of this config runs at n."""
     if cfg.mode == "shuffle_only":
-        if cfg.p is None:
-            return None
+        if cfg.p is None or (cfg.quantity == "IY1" and _matched(cfg)):
+            return  # the matched message leakage is a closed form: no enumeration
         q = cfg.q if cfg.q is not None else cfg.p
-        if cfg.quantity == "IY1" and _matched(cfg):
-            return 0  # closed form, no enumeration
-        return states_shuffle_only(cfg.p, q, n)
-    if cfg.mechanism is None:
-        return None
-    k = len(cfg.mechanism.output_labels)
-    if cfg.quantity == "IX1":
-        return states_input_mi(n, k)
-    if cfg.quantity == "IK":
-        return states_position_dp(n, k)
-    return None
+        check_states(states_shuffle_only(cfg.p, q, n), limits)
+    elif cfg.mechanism is not None:
+        k = len(cfg.mechanism.output_labels)
+        if cfg.quantity == "IX1":
+            check_states(states_input_mi(n, k), limits)
+        elif cfg.quantity == "IK":
+            check_states_position_dp(n, k, limits)
 
 
 def _matched(cfg: ExperimentConfig) -> bool:

@@ -254,3 +254,40 @@ class TestCli:
         result = CliRunner().invoke(main, ["preset", "fig1", "--out", str(out)])
         assert result.exit_code == 0
         assert out.read_text().count("\n") == 49  # header + 48 rows
+
+
+class TestHugeStateCounts:
+    """Permutation counts of tens of thousands of digits (k^n n (n-1)!)."""
+
+    @staticmethod
+    def write(tmp_path, method, n_grid):
+        doc = {
+            "mode": "shuffle_dp",
+            "quantity": "IK",
+            "mechanism": {"type": "krr", "k": 5, "eps0": 1.25},
+            "n_grid": n_grid,
+            "method": method,
+        }
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    def test_all_skips_the_exact_cell(self, tmp_path):
+        path = self.write(tmp_path, "all", [4, 16384])
+        result = CliRunner().invoke(main, ["run", "--config", path])
+        assert result.exit_code == 0
+        cells = [line.split(",")[1:3] for line in result.output.splitlines()[1:]]
+        assert cells == [["4", "exact"], ["4", "bound_position"], ["16384", "bound_position"]]
+
+    def test_explicit_exact_exits_3(self, tmp_path):
+        path = self.write(tmp_path, "exact", [16384])
+        result = CliRunner().invoke(main, ["run", "--config", path])
+        assert result.exit_code == 3
+        assert "~10^" in result.output
+
+    def test_validate_prints_the_diagnostic(self, tmp_path):
+        path = self.write(tmp_path, "exact", [16384])
+        result = CliRunner().invoke(main, ["validate", "--config", path])
+        assert result.exit_code == 2
+        assert "n_grid: resource-limit: exact method at n=16384" in result.output
+        assert "~10^" in result.output

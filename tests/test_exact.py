@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -20,11 +22,15 @@ from shuffleleak import (
     make_zipf,
     matched_message_mi,
     message_mi_exact,
+    message_mi_expansion,
     message_minus_position_mi,
+    mixed_signal_rate,
     position_likelihoods,
     position_mi_exact,
     position_mi_fixed_inputs,
+    row_mixture,
 )
+from shuffleleak.exact import states_shuffle_only
 
 from oracles import (
     brute_message_mi,
@@ -253,3 +259,124 @@ class TestPositionFixedInputs:
     def test_factorial_ceiling(self):
         with pytest.raises(ResourceLimitError):
             position_mi_fixed_inputs(make_krr(4, 1.0), tuple([1] * 9))
+
+
+class TestHistogramEngine:
+    """The enumerate-and-weight engine behind the multinomial oracles."""
+
+    def test_iid_input_finite_at_large_n(self):
+        # kRR2 at eps0 = 0.5 with a uniform prior: the tail of the histogram
+        # law is subnormal here, so no tail probability may reach a logarithm
+        r = make_krr(2, 0.5)
+        prior = make_uniform(2)
+        n = 16384
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            v = input_mi_iid_others(r, prior, n)
+        rate = mixed_signal_rate(prior, r, row_mixture(prior, r), n - 1)
+        assert math.isfinite(v)
+        assert v == pytest.approx(rate, rel=1e-4)
+
+    def test_hidden_cover_message_finite_at_large_n(self):
+        # Zipf(3) against a cover that misses the third symbol
+        p = make_zipf(3, 0.7)
+        q = dist(0.4271221890546695, 0.5728778109453305)
+        n = 16384
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            v = message_mi_exact(p, q, n)
+        assert math.isfinite(v)
+        assert v == pytest.approx(message_mi_expansion(p, q).evaluate(n), rel=1e-4)
+
+    def test_message_equals_input_of_unrandomized_channel(self):
+        # message leakage is input leakage when the covers are i.i.d. from q
+        cases = [
+            (ZIPF, U4),
+            (make_zipf(3, 0.7), dist(0.4271221890546695, 0.5728778109453305)),
+            (dist(0.5, 0.3, 0.2), dist(0.2, 0.0, 0.8)),
+        ]
+        for p, q in cases:
+            for n in (1, 2, 3, 5, 8, 13, 21, 30):
+                assert message_mi_exact(p, q, n) == pytest.approx(
+                    input_mi_shuffle_only(p, [q] * (n - 1)), abs=1e-12
+                )
+
+    def test_gap_identity_at_large_n(self):
+        limits = ExactLimits(max_states=10**8)
+        for p, q in ((dist(0.7, 0.3), dist(0.4, 0.6)), (make_zipf(3, 0.7), make_uniform(3))):
+            for n in (2, 64, 512, 4096):
+                gap = message_mi_exact(p, q, n, limits) - position_mi_exact(p, q, n, limits)
+                assert gap == pytest.approx(
+                    message_minus_position_mi(p, q, n), rel=1e-10, abs=1e-13
+                )
+
+    def test_iid_input_matches_sequence_brute_force(self):
+        from oracles import brute_input_mi_sequence
+
+        mechanisms = (
+            make_krr(3, 0.9),
+            Randomizer((1, 2), ("a", "b", "c"), [[0.7, 0.2, 0.1], [0.0, 0.3, 0.7]]),
+        )
+        for r in mechanisms:
+            weights = np.linspace(1.0, 2.0, len(r.input_labels))
+            prior = Categorical(r.input_labels, weights / weights.sum())
+            marginal = np.array([prior.prob(x) for x in r.input_labels]) @ r.kernel
+            # an extra input whose row is the output marginal plays an i.i.d. other user
+            ext = Randomizer(
+                r.input_labels + ("other",), r.output_labels, np.vstack([r.kernel, marginal])
+            )
+            for n in (1, 2, 3, 4):
+                assert input_mi_iid_others(r, prior, n) == pytest.approx(
+                    brute_input_mi_sequence(ext, prior, ("other",) * (n - 1)), abs=1e-12
+                )
+
+    def test_single_visible_symbol_needs_no_tables(self):
+        # one cover symbol: the histogram is certain whatever n is
+        p = dist(0.6, 0.4)
+        q = dist(1.0, 0.0)
+        n = 10**9
+        assert position_mi_exact(p, q, n) == pytest.approx(0.4 * math.log(n), rel=1e-12)
+        assert message_mi_exact(p, q, n) == pytest.approx(entropy(p), rel=1e-12)
+
+    def test_memory_is_bounded_by_chunks(self):
+        # about 10^6 states each, in two shapes: many symbols at small n, and
+        # two symbols at large n (where the n + 1 entry lgamma table is 4 MB)
+        cases = (
+            (position_mi_exact, ZIPF, U4, 113),
+            (message_mi_exact, dist(0.7, 0.3), dist(0.4, 0.6), 500_000),
+        )
+        for oracle, p, q, n in cases:
+            assert 5 * 10**5 < states_shuffle_only(p, q, n) <= 10**6
+            tracemalloc.start()
+            try:
+                oracle(p, q, n)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 16 * 2**20
+
+    def test_ceiling_raises_before_allocating(self):
+        tiny = ExactLimits(max_states=10)
+        calls = (
+            lambda: position_mi_exact(ZIPF, U4, 10**9, tiny),
+            lambda: message_mi_exact(ZIPF, U4, 10**9, tiny),
+            lambda: input_mi_iid_others(make_krr(4, 1.0), U4, 10**9, tiny),
+            lambda: position_mi_fixed_inputs(make_krr(4, 1.0), (1,) * 5, tiny),
+        )
+        for call in calls:
+            tracemalloc.start()
+            try:
+                with pytest.raises(ResourceLimitError):
+                    call()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 2**20
+
+    def test_huge_state_count_message(self):
+        # permutation counts with tens of thousands of digits are reported
+        # as a power of ten instead of being formatted
+        with pytest.raises(ResourceLimitError, match=r"~10\^\d+ states"):
+            position_mi_fixed_inputs(make_krr(5, 1.0), (1,) * 16384)
+        with pytest.raises(ResourceLimitError, match=r"needs 4097 states"):
+            input_mi_iid_others(make_krr(2, 0.5), make_uniform(2), 4096, ExactLimits(4096))
