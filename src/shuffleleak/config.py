@@ -26,6 +26,10 @@ from .probability import Categorical, make_uniform, make_zipf
 MODES = ("shuffle_only", "shuffle_dp")
 QUANTITIES = ("IK", "IY1", "IX1")
 BASE_METHODS = ("exact", "mc", "asym", "bounds")
+KEYS = (
+    "mode", "quantity", "P", "p", "Q", "q", "mechanism", "prior", "x_inputs",
+    "n_grid", "samples", "seed", "method", "label",
+)
 
 
 @dataclass(frozen=True)
@@ -114,6 +118,11 @@ def _freeze(value):
     return tuple(value) if isinstance(value, list) else value
 
 
+def _is_int(value) -> bool:
+    """True for JSON integers; JSON true/false are bools, which Python counts as ints."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def methods_of(cfg: ExperimentConfig) -> tuple[str, ...]:
     """Expand the method selector into base method names."""
     if cfg.method == "all":
@@ -131,6 +140,7 @@ def parse_config(doc) -> tuple[ExperimentConfig | None, list[Diagnostic]]:
     diags: list[Diagnostic] = []
     if not isinstance(doc, dict):
         return None, [Diagnostic("$", "config must be a JSON object")]
+    diags.extend(Diagnostic(str(key), "unknown key") for key in doc if key not in KEYS)
 
     mode = doc.get("mode", "shuffle_only")
     if mode not in MODES:
@@ -153,18 +163,18 @@ def parse_config(doc) -> tuple[ExperimentConfig | None, list[Diagnostic]]:
     if (
         not isinstance(n_grid, list)
         or not n_grid
-        or any(not isinstance(n, int) or n < 1 for n in n_grid)
+        or any(not _is_int(n) or n < 1 for n in n_grid)
     ):
         diags.append(Diagnostic("n_grid", "must be a nonempty list of positive integers"))
-        n_grid = [n for n in n_grid if isinstance(n, int) and n >= 1] if isinstance(n_grid, list) else []
+        n_grid = [n for n in n_grid if _is_int(n) and n >= 1] if isinstance(n_grid, list) else []
 
     samples = doc.get("samples", 100_000)
-    if not isinstance(samples, int) or samples < 1:
+    if not _is_int(samples) or samples < 1:
         diags.append(Diagnostic("samples", "must be a positive integer"))
-        samples = max(1, samples if isinstance(samples, int) else 1)
+        samples = max(1, samples if _is_int(samples) else 1)
 
     seed = doc.get("seed", 0)
-    if not isinstance(seed, int):
+    if not _is_int(seed):
         diags.append(Diagnostic("seed", "must be an integer"))
         seed = 0
 

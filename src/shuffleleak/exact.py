@@ -5,14 +5,16 @@ raises before anything is allocated:
 
 - A histogram engine for position and message leakage of the
   two-distribution channel and for input leakage with i.i.d. others.
-  Each is the mean of one statistic of the pooled histogram h of all n
-  messages under the multinomial law Mult(h; n, q) of the cover (or of
-  the output marginal). The engine enumerates h in numpy chunks and
-  weights each row by its log-multinomial probability. With w = p / q on
-  the support of q and S = h . w, the statistics are
+  Each is a ``HistogramForm``: the mean of one statistic of the pooled
+  histogram h of all n messages under the multinomial law Mult(h; n, q)
+  of the cover (or of the output marginal), plus a constant for target
+  messages the cover hides. The same forms drive the Monte Carlo
+  estimators. The engine enumerates h in numpy chunks and weights each
+  row by its log-multinomial probability. With w = p / q on the support
+  of q and S = h . w, the statistics are
 
   - position: sum_j (h_j w_j / n) log(n w_j / S), plus p(hidden) log n;
-  - message: sum_j (h_j w_j / n) log(h_j / (q_j S)), plus
+  - message: sum_j (h_j w_j / n) log(h_j w_j / (S p_j)), plus
     -p_a log p_a for every symbol a the cover hides;
   - input: sum_x prior_x t_x log t_x, with
     t_x = sum_y K[x, y] h_y / (n marginal_y).
@@ -178,20 +180,104 @@ def _histogram_mean(
     return math.fsum(num) / math.fsum(den)
 
 
-def _cover_channel(
-    p: Categorical, q: Categorical, n: int, limits: ExactLimits
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Shared set-up of the two-distribution oracles: (p, q, visible mask)."""
+@dataclass(frozen=True)
+class HistogramForm:
+    """A leakage quantity at population n: E[statistic(h)] for
+    h ~ Mult(n, cover), plus ``constant``.
+
+    ``cover`` is the law of one cover message on the visible symbols and
+    ``target`` the target's message law on them (it sums to the target's
+    visible mass). ``statistic`` maps a (len(cover), rows) integer
+    histogram chunk to one value per row; ``constant`` is the exact term
+    of target messages the cover cannot produce.
+    """
+
+    cover: np.ndarray
+    target: np.ndarray
+    statistic: Callable[[np.ndarray], np.ndarray]
+    constant: float
+
+
+def _histogram_value(n: int, form: HistogramForm) -> float:
+    """The exact driver: the form's value by enumerating every histogram."""
+    if not form.target.any():  # every target message is hidden
+        return form.constant
+    return math.fsum([_histogram_mean(n, form.cover, form.statistic), form.constant])
+
+
+def _visible_split(p: Categorical, q: Categorical, n: int) -> tuple[np.ndarray, ...]:
+    """Shared set-up of the two-distribution forms: (target, cover, hidden p)."""
     if n < 1:
         raise InvalidParameterError("n must be at least 1")
     _, pv, qv = align(p, q)
-    check_states(states_shuffle_only(p, q, n), limits)
-    return pv, qv, qv > 0
+    vis = qv > 0
+    # q is not renormalized on its support, so w = p / q is exactly 1 when p = q
+    return pv[vis], qv[vis], pv[~vis]
 
 
 def _s_log_n_over_s(s: np.ndarray, n: int) -> np.ndarray:
     """S log(n / S) per histogram, 0 where S = 0 (no target mass)."""
     return s * np.log(n / np.where(s > 0, s, 1.0))
+
+
+def position_form(p: Categorical, q: Categorical, n: int) -> HistogramForm:
+    """Position leakage of the two-distribution channel as a histogram form."""
+    target, cover, hidden = _visible_split(p, q, n)
+    w = target / cover
+    wlogw = w * np.log(np.where(w > 0, w, 1.0))
+
+    def statistic(h):
+        return (wlogw @ h + _s_log_n_over_s(w @ h, n)) / n
+
+    return HistogramForm(cover, target, statistic, math.fsum(hidden) * math.log(n))
+
+
+def message_form(p: Categorical, q: Categorical, n: int) -> HistogramForm:
+    """Message leakage of the two-distribution channel as a histogram form.
+
+    The statistic is written through the posterior h_j w_j / S, so a
+    target that is sure of its message scores exactly 0.
+    """
+    target, cover, hidden = _visible_split(p, q, n)
+    w = (target / cover)[:, None]
+    safe_target = np.where(target > 0, target, 1.0)[:, None]
+    hidden = hidden[hidden > 0]
+
+    def statistic(h):
+        hw = h * w
+        s = hw.sum(axis=0)
+        ratio = hw / (np.where(s > 0, s, 1.0) * safe_target)
+        return (hw * np.log(np.where(hw > 0, ratio, 1.0))).sum(axis=0) / n
+
+    return HistogramForm(cover, target, statistic, -math.fsum(hidden * np.log(hidden)))
+
+
+def _prior_vector(prior: Categorical, input_labels: tuple) -> np.ndarray:
+    known = set(input_labels)
+    for lab in prior.support():
+        if lab not in known:
+            raise InvalidInputError(f"prior symbol {lab!r} not a randomizer input")
+    return np.array([prior.prob(x) for x in input_labels])
+
+
+def input_form(r: Randomizer, prior: Categorical, n: int) -> HistogramForm:
+    """Input leakage with i.i.d. inputs as a histogram form; the target's
+    output follows the output marginal too, so ``target`` is the cover."""
+    if n < 1:
+        raise InvalidParameterError("n must be at least 1")
+    prior_vec = _prior_vector(prior, r.input_labels)
+    marginal = prior_vec @ r.kernel
+    seen = marginal > 0
+    cover = marginal[seen]
+    px = prior_vec[prior_vec > 0, None]
+    # ratio[x, y] = K[x, y] / (n cover_y) over the inputs x with prior mass
+    ratio = r.kernel[prior_vec > 0][:, seen] / (n * cover)
+
+    def statistic(h):
+        t = ratio @ h  # (inputs, rows)
+        return (px * t * np.log(np.where(t > 0, t, 1.0))).sum(axis=0)
+
+    return HistogramForm(cover, cover, statistic, 0.0)
 
 
 def position_mi_exact(
@@ -205,18 +291,9 @@ def position_mi_exact(
     impossible under the cover distribution pins the posterior to a single
     position and contributes log n.
     """
-    pv, qv, vis = _cover_channel(p, q, n, limits)
-    w = (pv[vis] / qv[vis])[:, None]
-    hidden = math.fsum(pv[~vis]) * math.log(n)
-    if not w.any():
-        return hidden
-    wlogw = w * np.log(np.where(w > 0, w, 1.0))
-
-    def statistic(h):
-        s = (h * w).sum(axis=0)
-        return ((h * wlogw).sum(axis=0) + _s_log_n_over_s(s, n)) / n
-
-    return math.fsum([_histogram_mean(n, qv[vis], statistic), hidden])
+    form = position_form(p, q, n)
+    check_states(states_shuffle_only(p, q, n), limits)
+    return _histogram_value(n, form)
 
 
 def message_mi_exact(
@@ -230,20 +307,9 @@ def message_mi_exact(
     whether or not the target distribution is absolutely continuous
     w.r.t. the cover.
     """
-    pv, qv, vis = _cover_channel(p, q, n, limits)
-    ph = pv[~vis]
-    hidden = -math.fsum(ph[ph > 0] * np.log(ph[ph > 0]))
-    w = (pv[vis] / qv[vis])[:, None]
-    if not w.any():
-        return hidden
-    log_nq = math.log(n) + np.log(qv[vis])[:, None]
-
-    def statistic(h):
-        hw = h * w
-        shares = (hw * (np.log(np.maximum(h, 1)) - log_nq)).sum(axis=0)
-        return (shares + _s_log_n_over_s(hw.sum(axis=0), n)) / n
-
-    return math.fsum([_histogram_mean(n, qv[vis], statistic), hidden])
+    form = message_form(p, q, n)
+    check_states(states_shuffle_only(p, q, n), limits)
+    return _histogram_value(n, form)
 
 
 def _binom_xlogx(n: int, prob: float) -> float:
@@ -294,6 +360,22 @@ def message_minus_position_mi(p: Categorical, q: Categorical, n: int) -> float:
     return math.fsum(terms)
 
 
+def _add_draw(law: np.ndarray, row: np.ndarray) -> np.ndarray:
+    """Law of the counts after one more independent draw from ``row``.
+
+    ``law`` is indexed by the counts of symbols 1..k-1; a count shifted
+    past the last index of an axis is dropped.
+    """
+    new = row[0] * law
+    for axis in range(law.ndim):
+        src = [slice(None)] * law.ndim
+        dst = [slice(None)] * law.ndim
+        src[axis] = slice(0, -1)
+        dst[axis] = slice(1, None)
+        new[tuple(dst)] += row[axis + 1] * law[tuple(src)]
+    return new
+
+
 def _hist_law_dense(other_rows: np.ndarray, limits: ExactLimits) -> np.ndarray:
     """Law of the count vector of independent draws, one per row.
 
@@ -307,15 +389,7 @@ def _hist_law_dense(other_rows: np.ndarray, limits: ExactLimits) -> np.ndarray:
     law = np.zeros((t + 1,) * (k - 1))
     law[(0,) * (k - 1)] = 1.0
     for row in other_rows:
-        new = row[0] * law
-        for j in range(1, k):
-            axis = j - 1
-            src = [slice(None)] * (k - 1)
-            dst = [slice(None)] * (k - 1)
-            src[axis] = slice(0, -1)
-            dst[axis] = slice(1, None)
-            new[tuple(dst)] += row[j] * law[tuple(src)]
-        law = new
+        law = _add_draw(law, row)
     return law
 
 
@@ -338,18 +412,7 @@ def _input_mi_hist(
     t = other_rows.shape[0]
     padded = np.zeros((t + 2,) * (k - 1))
     padded[tuple(slice(0, t + 1) for _ in range(k - 1))] = law
-    cells = padded.size
-    lx = np.zeros((nx, cells))
-    for x in range(nx):
-        acc = signal_rows[x, 0] * padded
-        for j in range(1, k):
-            axis = j - 1
-            src = [slice(None)] * (k - 1)
-            dst = [slice(None)] * (k - 1)
-            src[axis] = slice(0, -1)
-            dst[axis] = slice(1, None)
-            acc[tuple(dst)] += signal_rows[x, j] * padded[tuple(src)]
-        lx[x] = acc.ravel()
+    lx = np.array([_add_draw(padded, row).ravel() for row in signal_rows])
     pc = prior_vec @ lx
     total = 0.0
     for x in range(nx):
@@ -359,14 +422,6 @@ def _input_mi_hist(
         m = lx[x] > 0
         total += px * float(np.sum(lx[x][m] * np.log(lx[x][m] / pc[m])))
     return total
-
-
-def _prior_vector(prior: Categorical, input_labels: tuple) -> np.ndarray:
-    known = set(input_labels)
-    for lab in prior.support():
-        if lab not in known:
-            raise InvalidInputError(f"prior symbol {lab!r} not a randomizer input")
-    return np.array([prior.prob(x) for x in input_labels])
 
 
 def input_mi_fixed_others(
@@ -403,23 +458,9 @@ def input_mi_iid_others(
     likelihood ratio against the unconditional law. This is the quantity
     the Monte Carlo input estimator converges to.
     """
-    if n < 1:
-        raise InvalidParameterError("n must be at least 1")
-    prior_vec = _prior_vector(prior, r.input_labels)
-    if len(r.output_labels) == 1:
-        return 0.0
+    form = input_form(r, prior, n)
     check_states(states_input_mi(n, len(r.output_labels)), limits)
-    marginal = prior_vec @ r.kernel
-    seen = marginal > 0
-    px = prior_vec[prior_vec > 0, None]
-    # ratio[y, x] = K[x, y] / (n marginal_y) over the inputs x with prior mass
-    ratio = (r.kernel[prior_vec > 0][:, seen].T / (n * marginal[seen, None]))[:, :, None]
-
-    def statistic(h):
-        t = sum(ratio[y] * h[y] for y in range(len(ratio)))  # (inputs, rows)
-        return (px * t * np.log(np.where(t > 0, t, 1.0))).sum(axis=0)
-
-    return _histogram_mean(n, marginal[seen], statistic)
+    return _histogram_value(n, form)
 
 
 def input_mi_shuffle_only(

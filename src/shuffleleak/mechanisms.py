@@ -65,6 +65,8 @@ class Randomizer:
             raise InvalidParameterError("input labels must be distinct")
         if len(set(output_labels)) != len(output_labels):
             raise InvalidParameterError("output labels must be distinct")
+        if not np.all(np.isfinite(kernel)):
+            raise InvalidParameterError("kernel entries must be finite")
         if np.any(kernel < 0):
             raise InvalidParameterError("kernel entries must be nonnegative")
         sums = kernel.sum(axis=1)

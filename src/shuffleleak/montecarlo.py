@@ -1,13 +1,22 @@
 """Seeded Monte Carlo estimators for the leakage quantities.
 
-Each estimator averages an exact per-sample statistic (a divergence of the
-exact posterior from the prior), so the only error is statistical and the
-reported standard error is the plug-in sample-std / sqrt(samples).
+Each quantity is a ``HistogramForm`` from ``exact``: the mean of one
+statistic of the pooled histogram h under Mult(n, cover), plus a constant
+for the target messages the cover hides. The exact oracles enumerate h;
+this module samples it. A sample draws the target's symbol J from
+target / sum(target), then the n - 1 covers from Mult(n - 1, cover), and
+adds J to their histogram. That law is Mult(h; n, cover) lr(h) /
+sum(target) with lr(h) = sum_j target_j h_j / (n cover_j), so the
+sample's score sum(target) statistic(h) / lr(h) averages to the form's
+mean. The score is the divergence of the exact posterior from the prior,
+so the only error is statistical; the hidden part is added exactly. The
+reported standard error is the plug-in sample std / sqrt(samples).
 
 Determinism contract: samples are organized into fixed-size blocks and the
 randomness of block b derives from a counter-based Philox stream keyed by
-(seed, b). Partial sums are reduced with exact float summation, so results
-are bit-identical however the blocks are scheduled.
+(seed, b). Partial sums are reduced with exact float summation and the
+per-block variances are merged in block order, so results are
+bit-identical however the blocks are scheduled.
 """
 
 from __future__ import annotations
@@ -18,8 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AbsoluteContinuityError, InvalidParameterError
+from .exact import HistogramForm, input_form, message_form, position_form
 from .mechanisms import Randomizer
-from .probability import Categorical, align
+from .probability import Categorical
 
 BLOCK_SIZE = 4096
 
@@ -53,163 +63,66 @@ class EstimatorResult:
 def _estimate(stat_fn, samples: int, seed: int) -> EstimatorResult:
     if samples < 1:
         raise InvalidParameterError("samples must be at least 1")
-    s1 = []
-    s2 = []
+    sums = []
+    count, mean, m2 = 0, 0.0, 0.0
     for block, size in _blocks(samples):
         stats = stat_fn(_block_rng(seed, block), size)
-        s1.append(float(np.sum(stats)))
-        s2.append(float(np.sum(stats * stats)))
-    total = math.fsum(s1)
-    sq = math.fsum(s2)
-    mean = total / samples
-    if samples > 1:
-        var = max(0.0, (sq - samples * mean * mean) / (samples - 1))
-        stderr = math.sqrt(var / samples)
-    else:
-        stderr = 0.0
-    return EstimatorResult(mean, stderr, samples, seed)
+        total = float(np.sum(stats))
+        sums.append(total)
+        # merge the block's (count, mean, M2) in block order
+        # (Chan, Golub & LeVeque 1979); no sum of squares loses the spread
+        block_mean = total / size
+        delta = block_mean - mean
+        count += size
+        mean += delta * size / count
+        m2 += float(np.sum((stats - block_mean) ** 2))
+        m2 += delta * delta * (count - size) * size / count
+    stderr = math.sqrt(m2 / (samples - 1) / samples) if samples > 1 else 0.0
+    return EstimatorResult(math.fsum(sums) / samples, stderr, samples, seed)
 
 
-class _PoolSampler:
-    """Draws (target index, pooled count vector) for the two-distribution channel.
-
-    The shuffle makes the count vector sufficient for both statistics, so
-    only one target draw and one multinomial are needed per sample. Draw
-    order within a block is fixed: target values first, then cover counts.
-    """
-
-    def __init__(self, p: Categorical, q: Categorical, n: int):
-        if n < 1:
-            raise InvalidParameterError("n must be at least 1")
-        self.n = n
-        _, pv, qv = align(p, q)
-        self.pv = pv
-        self.qv = qv
-        self.cum_p = np.cumsum(pv)
-        self.cum_p[-1] = 1.0
-        self.sup_q = np.nonzero(qv > 0)[0]
-        qs = qv[self.sup_q]
-        self.qs = qs / qs.sum()
-        self.w = np.where(qv > 0, pv / np.where(qv > 0, qv, 1.0), 0.0)
-
-    def draw(self, rng: np.random.Generator, size: int):
-        y1 = np.searchsorted(self.cum_p, rng.random(size), side="right")
-        y1 = np.minimum(y1, len(self.pv) - 1)
-        counts = np.zeros((size, len(self.pv)))
-        counts[:, self.sup_q] = rng.multinomial(self.n - 1, self.qs, size=size)
-        counts[np.arange(size), y1] += 1.0
-        return y1, counts
+def _score(form: HistogramForm, n: int, h: np.ndarray) -> np.ndarray:
+    """sum(target) statistic(h) / lr(h) for a (symbols, rows) histogram chunk
+    holding at least one target message."""
+    lr = (form.target / (n * form.cover)) @ h
+    return form.target.sum() * form.statistic(h) / lr
 
 
-def _position_stats(sampler: _PoolSampler, rng, size: int) -> np.ndarray:
-    """Divergence of the exact position posterior from uniform, per sample."""
-    n, w = sampler.n, sampler.w
-    y1, counts = sampler.draw(rng, size)
-    stat = np.empty(size)
-    hidden = sampler.qv[y1] == 0.0
-    stat[hidden] = math.log(n)
-    vis = ~hidden
-    if vis.any():
-        c = counts[vis]
-        s = c @ w
-        ratio = (n * w)[None, :] / s[:, None]
-        act = (c > 0) & (w > 0)[None, :]
-        lg = np.where(act, np.log(np.where(act, ratio, 1.0)), 0.0)
-        stat[vis] = np.sum(c * (ratio / n) * lg, axis=1)
-    return stat
+def _block_scores(
+    form: HistogramForm, n: int, rng: np.random.Generator, size: int
+) -> np.ndarray:
+    """Scores of one block. Draw order is fixed: target symbols first, then
+    the cover counts."""
+    cum = np.cumsum(form.target / form.target.sum())
+    cum[-1] = 1.0
+    j = np.minimum(np.searchsorted(cum, rng.random(size), side="right"), len(cum) - 1)
+    h = rng.multinomial(n - 1, form.cover / form.cover.sum(), size=size).T
+    h[j, np.arange(size)] += 1
+    return _score(form, n, h)
 
 
-def _message_stats(sampler: _PoolSampler, rng, size: int) -> np.ndarray:
-    """KL of the exact message posterior from the target prior, per sample."""
-    w, pv = sampler.w, sampler.pv
-    y1, counts = sampler.draw(rng, size)
-    stat = np.empty(size)
-    hidden = sampler.qv[y1] == 0.0
-    if hidden.any():
-        stat[hidden] = -np.log(pv[y1[hidden]])
-    vis = ~hidden
-    if vis.any():
-        c = counts[vis]
-        s = c @ w
-        post = c * w[None, :] / s[:, None]
-        act = post > 0
-        safe_p = np.where(pv > 0, pv, 1.0)
-        lg = np.where(act, np.log(np.where(act, post / safe_p[None, :], 1.0)), 0.0)
-        stat[vis] = np.sum(post * lg, axis=1)
-    return stat
+def _sample(form: HistogramForm, n: int, samples: int, seed: int) -> EstimatorResult:
+    """The Monte Carlo driver: the form's value from ``samples`` scores."""
+    if samples < 1:
+        raise InvalidParameterError("samples must be at least 1")
+    if not form.target.any():  # every target message is hidden
+        return EstimatorResult(form.constant, 0.0, samples, seed)
+    part = _estimate(lambda rng, size: _block_scores(form, n, rng, size), samples, seed)
+    return EstimatorResult(part.estimate + form.constant, part.stderr, samples, seed)
 
 
 def estimate_position_mi(
     p: Categorical, q: Categorical, n: int, samples: int = 100_000, seed: int = 0
 ) -> EstimatorResult:
     """Monte Carlo position leakage for the two-distribution channel."""
-    sampler = _PoolSampler(p, q, n)
-    return _estimate(lambda rng, size: _position_stats(sampler, rng, size), samples, seed)
+    return _sample(position_form(p, q, n), n, samples, seed)
 
 
 def estimate_message_mi(
     p: Categorical, q: Categorical, n: int, samples: int = 100_000, seed: int = 0
 ) -> EstimatorResult:
     """Monte Carlo message leakage for the two-distribution channel."""
-    sampler = _PoolSampler(p, q, n)
-    return _estimate(lambda rng, size: _message_stats(sampler, rng, size), samples, seed)
-
-
-class _InputSampler:
-    """Draws for the randomize-then-shuffle channel with i.i.d. inputs.
-
-    Per sample: target input from the prior, target output from the
-    matching kernel row, then the count vector of the other n - 1 outputs
-    (i.i.d. from the output marginal). Requires the marginal positive
-    wherever any row has mass, so posterior weights are well defined.
-    """
-
-    def __init__(self, r: Randomizer, prior: Categorical, n: int):
-        if n < 1:
-            raise InvalidParameterError("n must be at least 1")
-        known = set(r.input_labels)
-        for lab in prior.support():
-            if lab not in known:
-                raise InvalidParameterError(
-                    f"prior symbol {lab!r} not a randomizer input"
-                )
-        self.n = n
-        self.prior_vec = np.array([prior.prob(x) for x in r.input_labels])
-        self.kernel = r.kernel
-        marginal = self.prior_vec @ self.kernel
-        if np.any((self.kernel.max(axis=0) > 0) & (marginal == 0)):
-            raise AbsoluteContinuityError(
-                "output marginal misses part of a row's support"
-            )
-        self.wk = np.where(
-            marginal > 0, self.kernel / np.where(marginal > 0, marginal, 1.0), 0.0
-        )
-        self.cum_prior = np.cumsum(self.prior_vec)
-        self.cum_prior[-1] = 1.0
-        self.cum_rows = np.cumsum(self.kernel, axis=1)
-        self.cum_rows[:, -1] = 1.0
-        self.sup_m = np.nonzero(marginal > 0)[0]
-        ms = marginal[self.sup_m]
-        self.ms = ms / ms.sum()
-
-
-def _input_stats(sampler: _InputSampler, rng, size: int) -> np.ndarray:
-    """KL of the exact input posterior from the prior, per sample."""
-    n_out = sampler.kernel.shape[1]
-    x1 = np.searchsorted(sampler.cum_prior, rng.random(size), side="right")
-    x1 = np.minimum(x1, len(sampler.prior_vec) - 1)
-    y1 = np.sum(sampler.cum_rows[x1] < rng.random(size)[:, None], axis=1)
-    y1 = np.minimum(y1, n_out - 1)
-    counts = np.zeros((size, n_out))
-    counts[:, sampler.sup_m] = rng.multinomial(sampler.n - 1, sampler.ms, size=size)
-    counts[np.arange(size), y1] += 1.0
-    t = counts @ sampler.wk.T
-    u = sampler.prior_vec[None, :] * t
-    post = u / np.sum(u, axis=1)[:, None]
-    act = post > 0
-    safe_prior = np.where(sampler.prior_vec > 0, sampler.prior_vec, 1.0)
-    lg = np.where(act, np.log(np.where(act, post / safe_prior[None, :], 1.0)), 0.0)
-    return np.sum(post * lg, axis=1)
+    return _sample(message_form(p, q, n), n, samples, seed)
 
 
 def estimate_input_mi(
@@ -219,6 +132,11 @@ def estimate_input_mi(
     samples: int = 100_000,
     seed: int = 0,
 ) -> EstimatorResult:
-    """Monte Carlo input leakage with all users' inputs i.i.d. from ``prior``."""
-    sampler = _InputSampler(r, prior, n)
-    return _estimate(lambda rng, size: _input_stats(sampler, rng, size), samples, seed)
+    """Monte Carlo input leakage with all users' inputs i.i.d. from ``prior``.
+
+    Requires the output marginal positive wherever any kernel row has mass.
+    """
+    form = input_form(r, prior, n)
+    if len(form.cover) < np.count_nonzero(r.kernel.any(axis=0)):
+        raise AbsoluteContinuityError("output marginal misses part of a row's support")
+    return _sample(form, n, samples, seed)

@@ -48,6 +48,8 @@ class Categorical:
             raise InvalidParameterError("alphabet must be nonempty")
         if len(set(labels)) != len(labels):
             raise InvalidParameterError("labels must be distinct")
+        if not np.all(np.isfinite(probs)):
+            raise InvalidParameterError("probabilities must be finite")
         if np.any(probs < 0):
             raise InvalidParameterError("probabilities must be nonnegative")
         total = float(probs.sum())
@@ -115,8 +117,8 @@ def make_zipf(m: int, alpha: float) -> Categorical:
     """
     if m < 1:
         raise InvalidParameterError("m must be a positive integer")
-    if alpha < 0:
-        raise InvalidParameterError("alpha must be nonnegative")
+    if not (np.isfinite(alpha) and alpha >= 0):
+        raise InvalidParameterError("alpha must be finite and nonnegative")
     w = np.arange(1, m + 1, dtype=np.float64) ** (-float(alpha))
     return Categorical(tuple(range(1, m + 1)), w / w.sum())
 

@@ -8,6 +8,8 @@ count.
 
 from __future__ import annotations
 
+import csv
+import io
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
@@ -191,14 +193,21 @@ def _fmt(value: float) -> str:
 
 
 def to_csv(rows: Sequence[ResultRow]) -> str:
-    """Render rows as a CSV document ('.' decimal, comma separator)."""
-    lines = [",".join(CSV_HEADER)]
+    """Render rows as a CSV document ('.' decimal, comma separator).
+
+    Fields are quoted as RFC 4180 asks, so any label reads back intact.
+    """
+    out = io.StringIO()
+    plain = csv.writer(out, lineterminator="\n")
+    # the csv module quotes a field for the line terminator's characters
+    # only, so a label with a bare carriage return is quoted explicitly
+    quoted = csv.writer(out, lineterminator="\n", quoting=csv.QUOTE_ALL)
+    plain.writerow(CSV_HEADER)
     for r in rows:
         stderr = "" if r.stderr is None else _fmt(r.stderr)
-        lines.append(
-            f"{r.case},{r.n},{r.method},{r.quantity},{_fmt(r.value)},{stderr}"
-        )
-    return "\n".join(lines) + "\n"
+        writer = quoted if "\r" in r.case else plain
+        writer.writerow((r.case, r.n, r.method, r.quantity, _fmt(r.value), stderr))
+    return out.getvalue()
 
 
 _FIG1_GRID = (2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096)

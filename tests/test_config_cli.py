@@ -1,8 +1,12 @@
+import csv
+import io
 import json
 import math
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shuffleleak.cli import main
 from shuffleleak.config import (
@@ -10,7 +14,7 @@ from shuffleleak.config import (
     parse_config,
     validate_config,
 )
-from shuffleleak.runner import preset_configs, run_configs, to_csv
+from shuffleleak.runner import ResultRow, preset_configs, run_configs, to_csv
 from shuffleleak import Categorical, make_krr, make_uniform, make_zipf
 
 
@@ -98,6 +102,27 @@ class TestValidation:
         _, diags = parse_config(doc)
         assert diags == []
 
+    def test_unknown_key(self):
+        _, diags = parse_config(make_doc(sampels=5))
+        assert [str(d) for d in diags] == ["sampels: unknown key"]
+
+    @pytest.mark.parametrize("key,value", [
+        ("samples", True), ("seed", True), ("n_grid", [4, True]),
+    ])
+    def test_json_booleans_are_not_integers(self, key, value):
+        _, diags = parse_config(make_doc(**{key: value}))
+        assert [d.field for d in diags] == [key]
+
+    @pytest.mark.parametrize("field,literal", [
+        ("P", {"type": "zipf", "m": 4, "alpha": math.nan}),
+        ("Q", {"type": "explicit", "probs": [math.nan, 0.5, 0.5]}),
+        ("mechanism", {"type": "explicit", "kernel": [[math.nan, 1.0], [0.5, 0.5]]}),
+    ])
+    def test_nan_literal(self, field, literal):
+        doc = json.loads(json.dumps(make_doc(**{field: literal})))  # json writes and reads NaN
+        _, diags = parse_config(doc)
+        assert field in {d.field for d in diags}
+
     def test_empty_n_grid(self):
         _, diags = parse_config(make_doc(n_grid=[]))
         assert any(d.field == "n_grid" for d in diags)
@@ -130,6 +155,25 @@ class TestRunner:
         assert all(line.count(",") == 5 for line in lines)
         # exact/asym rows leave stderr empty
         assert lines[2].endswith(",")
+
+    def test_plain_labels_are_not_quoted(self):
+        rows = [ResultRow("q_uniform_ik", 16, "mc", "IK", 0.5, 0.25),
+                ResultRow("", 16, "asym", "IK", 1 / 3, None)]
+        assert to_csv(rows) == (
+            "case,n,method,quantity,value_nats,stderr\n"
+            "q_uniform_ik,16,mc,IK,0.5,0.25\n"
+            ",16,asym,IK,0.333333333333,\n"
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(labels=st.lists(st.text(), min_size=1, max_size=3))
+    def test_any_label_round_trips(self, labels):
+        rows = [ResultRow(lab, 8, "mc", "IY1", 0.125, 0.5) for lab in labels]
+        rows += [ResultRow(lab, 8, "asym", "IY1", 0.125, None) for lab in ("a,b\nc", "x\ry")]
+        parsed = list(csv.reader(io.StringIO(to_csv(rows), newline="")))
+        assert parsed[0] == ["case", "n", "method", "quantity", "value_nats", "stderr"]
+        assert [r[0] for r in parsed[1:]] == [r.case for r in rows]
+        assert all(len(r) == 6 for r in parsed)
 
     def test_worker_count_does_not_change_bytes(self):
         cfg, _ = parse_config(make_doc(samples=4000, method="mc"))
@@ -229,6 +273,12 @@ class TestCli:
         )
         assert result.exit_code == 0
         assert out_path.read_text().startswith("case,n,method")
+
+    def test_run_nan_literal_exits_2(self, tmp_path):
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(make_doc(P={"type": "zipf", "m": 4, "alpha": math.nan})))
+        result = CliRunner().invoke(main, ["run", "--config", str(path)])
+        assert result.exit_code == 2 and "value_nats" not in result.output
 
     def test_run_bad_json_exits_2(self, tmp_path):
         path = tmp_path / "broken.json"

@@ -13,6 +13,7 @@ from shuffleleak import (
     ResourceLimitError,
     blanket_of_family,
     entropy,
+    estimate_position_mi,
     input_mi_fixed_others,
     input_mi_iid_others,
     input_mi_shuffle_only,
@@ -50,6 +51,14 @@ def dist(*probs, labels=None):
 class TestPositionExact:
     def test_matched_is_zero(self):
         assert position_mi_exact(U4, U4, 6) == 0.0
+
+    @pytest.mark.parametrize("p", [ZIPF, make_zipf(4, 1.0)])
+    def test_matched_non_uniform_is_exactly_zero(self, p):
+        # w = p / q must be exactly 1; q renormalized leaves it 1 +- 1 ulp
+        # where the probabilities do not sum to exactly 1, as for Zipf(4, 1)
+        for n in (2, 3, 8):
+            assert position_mi_exact(p, p, n) == 0.0
+            assert estimate_position_mi(p, p, n, samples=2000, seed=1).estimate == 0.0
 
     def test_disjoint_supports_log_n(self):
         p = dist(1.0, 0.0)

@@ -30,6 +30,14 @@ class TestKrr:
         assert r.kernel[0, 0] == pytest.approx(e / (e + 3), abs=1e-15)
         assert r.kernel[0, 1] == pytest.approx(1 / (e + 3), abs=1e-15)
 
+    @settings(max_examples=60, deadline=None)
+    @given(k=st.integers(2, 5), bad=st.sampled_from([math.nan, math.inf, -math.inf]), data=st.data())
+    def test_randomizer_rejects_non_finite(self, k, bad, data):
+        kernel = np.array(make_krr(k, 1.0).kernel)
+        kernel[data.draw(st.integers(0, k - 1)), data.draw(st.integers(0, k - 1))] = bad
+        with pytest.raises(InvalidParameterError):
+            Randomizer(range(k), range(k), kernel)
+
     def test_rejects_k1(self):
         with pytest.raises(InvalidParameterError):
             make_krr(1, 1.0)

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from shuffleleak import (
     AbsoluteContinuityError,
     Categorical,
     InvalidParameterError,
+    Randomizer,
     estimate_input_mi,
     estimate_message_mi,
     estimate_position_mi,
@@ -18,14 +20,8 @@ from shuffleleak import (
     message_mi_exact,
     position_mi_exact,
 )
-from shuffleleak.montecarlo import (
-    _block_rng,
-    _InputSampler,
-    _input_stats,
-    _message_stats,
-    _PoolSampler,
-    _position_stats,
-)
+from shuffleleak.exact import input_form, message_form, position_form
+from shuffleleak.montecarlo import _block_rng, _block_scores, _blocks, _estimate, _score
 
 ZIPF = make_zipf(4, 0.7)
 U4 = make_uniform(4)
@@ -145,27 +141,102 @@ class TestConsistency:
 
 class TestPerSampleStatistics:
     def test_position_stats_nonnegative(self):
-        sampler = _PoolSampler(ZIPF, U4, 50)
-        stats = _position_stats(sampler, _block_rng(11, 0), 4096)
+        stats = _block_scores(position_form(ZIPF, U4, 50), 50, _block_rng(11, 0), 4096)
         assert stats.min() >= -1e-12
 
     def test_message_stats_nonnegative(self):
-        sampler = _PoolSampler(ZIPF, U4, 50)
-        stats = _message_stats(sampler, _block_rng(12, 0), 4096)
+        stats = _block_scores(message_form(ZIPF, U4, 50), 50, _block_rng(12, 0), 4096)
         assert stats.min() >= -1e-12
 
     def test_input_stats_nonnegative(self):
-        sampler = _InputSampler(make_krr(4, 1.0), U4, 50)
-        stats = _input_stats(sampler, _block_rng(13, 0), 4096)
+        form = input_form(make_krr(4, 1.0), U4, 50)
+        stats = _block_scores(form, 50, _block_rng(13, 0), 4096)
         assert stats.min() >= -1e-12
 
     def test_stderr_definition(self):
         r = estimate_message_mi(ZIPF, U4, 8, samples=5000, seed=8)
-        sampler = _PoolSampler(ZIPF, U4, 8)
+        form = message_form(ZIPF, U4, 8)
         chunks = [
-            _message_stats(sampler, _block_rng(8, 0), 4096),
-            _message_stats(sampler, _block_rng(8, 1), 904),
+            _block_scores(form, 8, _block_rng(8, 0), 4096),
+            _block_scores(form, 8, _block_rng(8, 1), 904),
         ]
         stats = np.concatenate(chunks)
         assert r.estimate == pytest.approx(stats.mean(), abs=1e-12)
         assert r.stderr == pytest.approx(stats.std(ddof=1) / math.sqrt(5000), rel=1e-9)
+
+
+def drawn_mean(form, n):
+    """Sum over every draw of its probability times its score, plus the
+    constant. A draw is the target's symbol j, with probability
+    target_j / sum(target), then each of the n - 1 covers in turn."""
+    m = len(form.cover)
+    seqs = np.array(list(itertools.product(range(m), repeat=n - 1)), dtype=np.int64)
+    seqs = seqs.reshape(m ** (n - 1), n - 1)
+    covers = (seqs[:, :, None] == np.arange(m)).sum(axis=1).T  # (symbols, draws)
+    p_covers = np.prod(form.cover[seqs], axis=1)
+    terms = []
+    for j in np.nonzero(form.target)[0]:
+        h = covers.copy()
+        h[j] += 1
+        p_draw = form.target[j] / form.target.sum() * p_covers
+        terms.append(float(p_draw @ _score(form, n, h)))
+    return math.fsum(terms) + form.constant
+
+
+P3 = Categorical((1, 2, 3), (0.5, 0.3, 0.2))
+Q3_HIDDEN = Categorical((1, 2, 3), (0.6, 0.4, 0.0))  # symbol 3 is hidden
+P3_GAP = Categorical((1, 2, 3), (0.7, 0.0, 0.3))  # a visible symbol the target never sends
+Q3 = Categorical((1, 2, 3), (0.2, 0.3, 0.5))
+# output 3 is never produced, and input 2 has no prior mass
+R_HIDDEN = Randomizer((1, 2, 3), (1, 2, 3), [[0.6, 0.4, 0.0], [0.1, 0.9, 0.0], [0.5, 0.5, 0.0]])
+PRIOR_GAP = Categorical((1, 2, 3), (0.3, 0.0, 0.7))
+
+
+class TestSharedForms:
+    @pytest.mark.parametrize("n", [1, 2, 5, 6])
+    @pytest.mark.parametrize("p,q", [(ZIPF, U4), (P3, Q3_HIDDEN), (P3_GAP, Q3)])
+    def test_draw_law_times_score_is_exact_two_distribution(self, p, q, n):
+        assert drawn_mean(position_form(p, q, n), n) == pytest.approx(
+            position_mi_exact(p, q, n), abs=1e-12
+        )
+        assert drawn_mean(message_form(p, q, n), n) == pytest.approx(
+            message_mi_exact(p, q, n), abs=1e-12
+        )
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 6])
+    @pytest.mark.parametrize("r,prior", [(make_krr(4, 1.0), U4), (R_HIDDEN, PRIOR_GAP)])
+    def test_draw_law_times_score_is_exact_input(self, r, prior, n):
+        assert drawn_mean(input_form(r, prior, n), n) == pytest.approx(
+            input_mi_iid_others(r, prior, n), abs=1e-12
+        )
+
+    def test_all_hidden_position_is_log_n(self):
+        p = Categorical((1, 2), (0.5, 0.5))
+        q = Categorical((3,), (1.0,))
+        r = estimate_position_mi(p, q, 1024, samples=5000, seed=4)
+        assert r.estimate == math.log(1024) and r.stderr == 0.0
+        with pytest.raises(InvalidParameterError):
+            estimate_position_mi(p, q, 1024, samples=0, seed=4)
+
+    def test_hidden_part_adds_no_spread(self):
+        # a hidden symbol used to be a sampled outcome; now its term is exact
+        p = Categorical((1, 2, 3), (0.5, 0.3, 0.2))
+        q = Categorical((1, 2, 3), (1.0, 0.0, 0.0))
+        r = estimate_position_mi(p, q, 64, samples=5000, seed=5)
+        assert r.estimate == pytest.approx(0.5 * math.log(64), abs=1e-12)
+        assert r.stderr < 1e-12
+
+
+class TestStableVariance:
+    def test_offset_statistic_keeps_its_spread(self):
+        # the spread of 1e4 + U(0, 1e-6) is lost to cancellation in sum x^2 - n mean^2
+        def stat(rng, size):
+            return 1e4 + rng.uniform(0.0, 1e-6, size)
+
+        samples = 100_000
+        r = _estimate(stat, samples, 3)
+        stats = np.concatenate([stat(_block_rng(3, b), size) for b, size in _blocks(samples)])
+        assert r.stderr == pytest.approx(
+            np.std(stats - 1e4, ddof=1) / math.sqrt(samples), rel=1e-6
+        )
+        assert r.stderr == pytest.approx(1e-6 / math.sqrt(12 * samples), rel=0.02)

@@ -50,6 +50,15 @@ class TestConstruction:
         d = Categorical(("a", "b"), (0.5, 0.5 + 5e-10))
         assert d.probs.sum() == pytest.approx(1.0, abs=1e-15)
 
+    @settings(max_examples=60, deadline=None)
+    @given(d=categoricals(), bad=st.sampled_from([math.nan, math.inf, -math.inf]), data=st.data())
+    def test_rejects_non_finite(self, d, bad, data):
+        # NaN passes every ordered comparison, so it must be rejected by name
+        probs = np.array(d.probs)
+        probs[data.draw(st.integers(0, len(probs) - 1))] = bad
+        with pytest.raises(InvalidParameterError):
+            Categorical(d.labels, probs)
+
     def test_prob_lookup_defaults_to_zero(self):
         assert dist(1.0).prob("missing") == 0.0
 
@@ -77,6 +86,16 @@ class TestConstructors:
     def test_zipf_m4_alpha07(self):
         w = np.arange(1, 5, dtype=float) ** -0.7
         assert np.allclose(make_zipf(4, 0.7).probs, w / w.sum(), atol=1e-15)
+
+    @settings(max_examples=60, deadline=None)
+    @given(alpha=st.floats(allow_nan=True, allow_infinity=True))
+    def test_zipf_is_finite_or_rejected(self, alpha):
+        try:
+            d = make_zipf(4, alpha)
+        except InvalidParameterError:
+            assert not (math.isfinite(alpha) and alpha >= 0)
+        else:
+            assert np.all(np.isfinite(d.probs)) and d.probs.sum() == pytest.approx(1.0)
 
     def test_zipf_rejects_negative_alpha(self):
         with pytest.raises(InvalidParameterError):
