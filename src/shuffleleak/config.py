@@ -65,37 +65,63 @@ class ExperimentConfig:
         return cfg
 
 
-def parse_distribution(lit, path: str, diags: list[Diagnostic]) -> Categorical | None:
+DISTRIBUTION_KEYS = {"uniform": ("m",), "zipf": ("m", "alpha"), "explicit": ("labels", "probs")}
+MECHANISM_KEYS = {"krr": ("k", "eps0"), "explicit": ("kernel", "input_labels", "output_labels")}
+
+
+def _literal_kind(lit, path: str, kinds: dict, what: str, diags: list[Diagnostic]):
+    """The ``type`` of a literal, or None after a diagnostic when the
+    literal is not an object of a known type. Keys the type does not take
+    are diagnostics too, one per key."""
     if not isinstance(lit, dict) or "type" not in lit:
         diags.append(Diagnostic(path, "expected an object with a 'type' field"))
         return None
     kind = lit["type"]
+    if not isinstance(kind, str) or kind not in kinds:
+        diags.append(Diagnostic(path, f"unknown {what} type {kind!r}"))
+        return None
+    diags.extend(
+        Diagnostic(f"{path}.{key}", "unknown key")
+        for key in lit
+        if key != "type" and key not in kinds[kind]
+    )
+    return kind
+
+
+def _number(lit: dict, key: str, integer: bool = False):
+    """``lit[key]`` when it is a JSON integer, or as a float when it is any
+    JSON number and ``integer`` is false; JSON true/false and strings raise."""
+    value = lit[key]
+    if _is_int(value) or (not integer and isinstance(value, float)):
+        return value if integer else float(value)
+    raise InvalidParameterError(
+        f"{key} must be {'an integer' if integer else 'a number'}, got {value!r}"
+    )
+
+
+def parse_distribution(lit, path: str, diags: list[Diagnostic]) -> Categorical | None:
+    kind = _literal_kind(lit, path, DISTRIBUTION_KEYS, "distribution", diags)
     try:
         if kind == "uniform":
-            return make_uniform(int(lit["m"]))
+            return make_uniform(_number(lit, "m", integer=True))
         if kind == "zipf":
-            return make_zipf(int(lit["m"]), float(lit["alpha"]))
+            return make_zipf(_number(lit, "m", integer=True), _number(lit, "alpha"))
         if kind == "explicit":
             labels = lit.get("labels")
             probs = lit["probs"]
             if labels is None:
                 labels = list(range(1, len(probs) + 1))
             return Categorical(tuple(_freeze(lab) for lab in labels), probs)
-    except (KeyError, TypeError, ValueError, InvalidParameterError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, InvalidParameterError) as exc:
         diags.append(Diagnostic(path, f"invalid {kind} literal: {exc}"))
-        return None
-    diags.append(Diagnostic(path, f"unknown distribution type {kind!r}"))
     return None
 
 
 def parse_mechanism(lit, path: str, diags: list[Diagnostic]) -> Randomizer | None:
-    if not isinstance(lit, dict) or "type" not in lit:
-        diags.append(Diagnostic(path, "expected an object with a 'type' field"))
-        return None
-    kind = lit["type"]
+    kind = _literal_kind(lit, path, MECHANISM_KEYS, "mechanism", diags)
     try:
         if kind == "krr":
-            return make_krr(int(lit["k"]), float(lit["eps0"]))
+            return make_krr(_number(lit, "k", integer=True), _number(lit, "eps0"))
         if kind == "explicit":
             kernel = lit["kernel"]
             n_in = len(kernel)
@@ -107,10 +133,8 @@ def parse_mechanism(lit, path: str, diags: list[Diagnostic]) -> Randomizer | Non
                 tuple(_freeze(x) for x in outs),
                 kernel,
             )
-    except (KeyError, TypeError, ValueError, IndexError, InvalidParameterError) as exc:
+    except (KeyError, TypeError, ValueError, IndexError, OverflowError, InvalidParameterError) as exc:
         diags.append(Diagnostic(path, f"invalid {kind} literal: {exc}"))
-        return None
-    diags.append(Diagnostic(path, f"unknown mechanism type {kind!r}"))
     return None
 
 

@@ -21,17 +21,24 @@ raises before anything is allocated:
 
   Every logarithm is of a ratio built from counts and the fixed p, q or
   kernel, never of an enumerated probability, so underflow in the tail
-  of the law cannot make a value infinite. At m = 4 the default ceiling
-  of 10^7 states binds before time does: n = 224 for the
-  two-distribution oracles and n = 208 for i.i.d. input, each in about
-  0.2-0.35 s on one core.
+  of the law cannot make a value infinite. The message and input
+  statistics work one symbol (or input) row at a time, so a chunk never
+  builds a (symbols, rows) float array. At m = 4 the default ceiling of
+  10^7 states binds before time does: n = 224 for the two-distribution
+  oracles and n = 208 for i.i.d. input, each in about 0.15-0.25 s on one
+  core.
 - A dense convolution of per-user rows for input leakage when the other
   users' rows differ (fixed inputs, heterogeneous covers).
 - Permutation enumeration for position leakage with fixed inputs
   (factorial work; small n only).
 
 Finite-n closed forms built from binomial expectations stay exact at any
-n and need no ceiling.
+n and need no ceiling. Their Bin(n, p) pmf is built in numpy from the
+ratio of consecutive terms, outward from the mode, and divided by its
+sum. Up to n = 16384 the closed forms stay within 1e-11 relative of a
+reference pmf from a special-function library (see the tests), and one
+binomial expectation takes about 0.3 ms at that n (2.9 ms with the
+library's pmf).
 """
 
 from __future__ import annotations
@@ -43,7 +50,6 @@ from math import comb, factorial, lgamma
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
-from scipy.stats import binom
 
 from .errors import (
     AbsoluteContinuityError,
@@ -239,15 +245,19 @@ def message_form(p: Categorical, q: Categorical, n: int) -> HistogramForm:
     target that is sure of its message scores exactly 0.
     """
     target, cover, hidden = _visible_split(p, q, n)
-    w = (target / cover)[:, None]
-    safe_target = np.where(target > 0, target, 1.0)[:, None]
+    w = target / cover
+    sent = np.flatnonzero(target)  # the symbols with a nonzero term
     hidden = hidden[hidden > 0]
 
     def statistic(h):
-        hw = h * w
-        s = hw.sum(axis=0)
-        ratio = hw / (np.where(s > 0, s, 1.0) * safe_target)
-        return (hw * np.log(np.where(hw > 0, ratio, 1.0))).sum(axis=0) / n
+        # one symbol row at a time, so no (symbols, rows) float array is built
+        s = sum(h[j] * w[j] for j in range(len(w)))
+        safe_s = np.where(s > 0, s, 1.0)
+        total = np.zeros(h.shape[1])
+        for j in sent:
+            hw = h[j] * w[j]
+            total += hw * np.log(np.where(hw > 0, hw / (safe_s * target[j]), 1.0))
+        return total / n
 
     return HistogramForm(cover, target, statistic, -math.fsum(hidden * np.log(hidden)))
 
@@ -269,13 +279,17 @@ def input_form(r: Randomizer, prior: Categorical, n: int) -> HistogramForm:
     marginal = prior_vec @ r.kernel
     seen = marginal > 0
     cover = marginal[seen]
-    px = prior_vec[prior_vec > 0, None]
+    px = prior_vec[prior_vec > 0]
     # ratio[x, y] = K[x, y] / (n cover_y) over the inputs x with prior mass
     ratio = r.kernel[prior_vec > 0][:, seen] / (n * cover)
 
     def statistic(h):
-        t = ratio @ h  # (inputs, rows)
-        return (px * t * np.log(np.where(t > 0, t, 1.0))).sum(axis=0)
+        # one input row at a time, so no (inputs, rows) float array is built
+        total = np.zeros(h.shape[1])
+        for x in range(len(px)):
+            t = ratio[x] @ h
+            total += px[x] * t * np.log(np.where(t > 0, t, 1.0))
+        return total
 
     return HistogramForm(cover, cover, statistic, 0.0)
 
@@ -313,11 +327,29 @@ def message_mi_exact(
 
 
 def _binom_xlogx(n: int, prob: float) -> float:
-    """E[(X/n) log(X/n)] for X ~ Bin(n, prob), with 0 log 0 = 0."""
-    x = np.arange(1, n + 1)
-    pmf = binom.pmf(x, n, prob)
-    ratio = x / n
-    return float(np.dot(pmf, ratio * np.log(ratio)))
+    """E[(X/n) log(X/n)] for X ~ Bin(n, prob), with 0 log 0 = 0.
+
+    The pmf is built up to a constant from the mode outward by the ratio
+    pmf(x + 1) / pmf(x) = (n - x) prob / ((x + 1)(1 - prob)), so every
+    entry in the bulk is a short product of factors near 1, and is then
+    divided by its sum. Weights from differences of lgamma values carry the
+    rounding of numbers near log n!: at n = 16384 and prob = 0.9 they put
+    E[(X/n) log(X/n)] - prob log prob 1.7e-10 relative from a 40-digit
+    reference, and this product 6e-12.
+    """
+    if prob == 1.0:  # X = n surely
+        return 0.0
+    x = np.arange(n + 1)
+    mode = min(int((n + 1) * prob), n)
+    pmf = np.empty(n + 1)
+    pmf[mode] = 1.0
+    odds = prob / (1.0 - prob)
+    # every factor is at most 1 in the direction it is multiplied along
+    up, down = x[mode:n], x[:mode][::-1]
+    pmf[mode + 1 :] = np.cumprod((n - up) / (up + 1) * odds)
+    pmf[:mode] = np.cumprod((down + 1) / (n - down) / odds)[::-1]
+    ratio = x[1:] / n
+    return float(np.dot(pmf[1:], ratio * np.log(ratio)) / pmf.sum())
 
 
 def matched_message_mi(p: Categorical, n: int) -> float:

@@ -2,12 +2,17 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import shuffleleak
 from shuffleleak.cli import main
 from shuffleleak.config import (
     ExperimentConfig,
@@ -139,6 +144,61 @@ class TestValidation:
         assert any(d.field == "x_inputs" for d in validate_config(cfg))
 
 
+class TestNestedLiterals:
+    """Distribution and mechanism literals are checked like the top-level keys."""
+
+    @staticmethod
+    def dp_doc(mechanism):
+        return {"mode": "shuffle_dp", "quantity": "IX1", "n_grid": [4], "mechanism": mechanism}
+
+    @pytest.mark.parametrize("literal,expected", [
+        ({"type": "uniform", "m": 4, "alpah": 0.7}, "Q.alpah: unknown key"),
+        ({"type": "zipf", "m": 4, "alpha": 0.7, "beta": 1}, "Q.beta: unknown key"),
+        ({"type": "explicit", "probs": [0.5, 0.5], "lables": ["a", "b"]}, "Q.lables: unknown key"),
+    ])
+    def test_unknown_distribution_key(self, literal, expected):
+        _, diags = parse_config(make_doc(Q=literal))
+        assert [str(d) for d in diags] == [expected]
+
+    @pytest.mark.parametrize("mechanism,expected", [
+        ({"type": "krr", "k": 4, "eps0": 1.0, "eps": 2.0}, "mechanism.eps: unknown key"),
+        ({"type": "explicit", "kernel": [[1.0, 0.0], [0.0, 1.0]], "outputs": [1, 2]},
+         "mechanism.outputs: unknown key"),
+    ])
+    def test_unknown_mechanism_key(self, mechanism, expected):
+        _, diags = parse_config(self.dp_doc(mechanism))
+        assert [str(d) for d in diags] == [expected]
+
+    @pytest.mark.parametrize("literal", [
+        {"type": "uniform", "m": 4.7},
+        {"type": "uniform", "m": 4.0},
+        {"type": "uniform", "m": True},
+        {"type": "uniform", "m": "4"},
+        {"type": "zipf", "m": False, "alpha": 0.7},
+        {"type": "zipf", "m": 4, "alpha": True},
+        {"type": "zipf", "m": 4, "alpha": "0.7"},
+    ])
+    def test_distribution_numbers(self, literal):
+        cfg, diags = parse_config(make_doc(Q=literal))
+        assert [d.field for d in diags] == ["Q"] and cfg.q is None
+
+    @pytest.mark.parametrize("mechanism", [
+        {"type": "krr", "k": 4.0, "eps0": 1.0},
+        {"type": "krr", "k": True, "eps0": 1.0},
+        {"type": "krr", "k": 4, "eps0": False},
+        {"type": "krr", "k": 4, "eps0": 1000},  # e^eps0 overflows
+    ])
+    def test_mechanism_numbers(self, mechanism):
+        cfg, diags = parse_config(self.dp_doc(mechanism))
+        assert "mechanism" in {d.field for d in diags} and cfg.mechanism is None
+
+    def test_integer_alpha_and_eps0_are_numbers(self):
+        cfg, diags = parse_config(make_doc(P={"type": "zipf", "m": 4, "alpha": 1}))
+        assert diags == [] and cfg.p.same_mass(make_zipf(4, 1.0))
+        cfg, diags = parse_config(self.dp_doc({"type": "krr", "k": 4, "eps0": 1}))
+        assert diags == [] and cfg.mechanism.kernel.tolist() == make_krr(4, 1.0).kernel.tolist()
+
+
 class TestRunner:
     def test_rows_in_plan_order(self):
         cfg, _ = parse_config(make_doc(samples=500))
@@ -250,6 +310,17 @@ class TestPresets:
 
 
 class TestCli:
+    def test_import_loads_no_scipy(self):
+        # scipy.stats alone takes most of a second to import; the CLI needs none of it
+        code = "import sys, shuffleleak.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        src = str(Path(shuffleleak.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
+
     def test_validate_ok(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(make_doc()))

@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.stats import binom
 
 from shuffleleak import (
     AbsoluteContinuityError,
@@ -150,6 +151,61 @@ class TestClosedForms:
     def test_gap_requires_absolute_continuity(self):
         with pytest.raises(AbsoluteContinuityError):
             message_minus_position_mi(dist(0.5, 0.5), dist(1.0, 0.0), 4)
+
+
+class TestBinomialClosedForms:
+    """The closed forms against a scipy.stats.binom reference."""
+
+    @staticmethod
+    def xlogx(n, prob):
+        x = np.arange(1, n + 1)
+        return float(np.dot(binom.pmf(x, n, prob), (x / n) * np.log(x / n)))
+
+    def reference_matched(self, p, n):
+        return math.fsum(self.xlogx(n, pi) - pi * math.log(pi) for pi in p.probs if pi > 0)
+
+    def reference_gap(self, p, q, n):
+        return math.fsum(
+            (pi / qi) * self.xlogx(n, qi) - pi * math.log(pi)
+            for pi, qi in zip(p.probs, q.probs)
+            if pi > 0
+        )
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 64, 4096, 16384])
+    def test_against_scipy_binomial(self, m, n):
+        # Zipf(m, 3) puts 0.89 (m = 2) to 0.83 (m = 5) on its first symbol
+        dists = (make_uniform(m), make_zipf(m, 0.7), make_zipf(m, 3.0))
+        for p in dists:
+            assert matched_message_mi(p, n) == pytest.approx(
+                self.reference_matched(p, n), rel=1e-10, abs=0
+            )
+            for q in dists:
+                assert message_minus_position_mi(p, q, n) == pytest.approx(
+                    self.reference_gap(p, q, n), rel=1e-10, abs=0
+                )
+
+    def test_matches_exact_rational_pmf(self):
+        # p = (9/10, 1/10): each pmf value of Bin(n, a/10) is the integer
+        # C(n, x) a^x (10 - a)^(n - x) over 10^n, rounded once by Python's
+        # big-integer true division. A pmf from lgamma differences is off
+        # by 3e-12 here.
+        n = 1024
+
+        def xlogx(a):
+            return math.fsum(
+                math.comb(n, x) * a**x * (10 - a) ** (n - x) / 10**n * (x / n) * math.log(x / n)
+                for x in range(1, n + 1)
+            )
+
+        reference = math.fsum(xlogx(a) - a / 10 * math.log(a / 10) for a in (9, 1))
+        assert matched_message_mi(dist(0.9, 0.1), n) == pytest.approx(reference, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 16384])
+    def test_point_mass_is_exactly_zero(self, n):
+        point = dist(0.0, 1.0, 0.0)
+        assert matched_message_mi(point, n) == 0.0
+        assert message_minus_position_mi(point, point, n) == 0.0
 
 
 class TestInputOracles:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +22,14 @@ from shuffleleak import (
     position_mi_exact,
 )
 from shuffleleak.exact import input_form, message_form, position_form
-from shuffleleak.montecarlo import _block_rng, _block_scores, _blocks, _estimate, _score
+from shuffleleak.montecarlo import (
+    BLOCK_SIZE,
+    _block_rng,
+    _block_scores,
+    _blocks,
+    _estimate,
+    _score,
+)
 
 ZIPF = make_zipf(4, 0.7)
 U4 = make_uniform(4)
@@ -240,3 +248,23 @@ class TestStableVariance:
             np.std(stats - 1e4, ddof=1) / math.sqrt(samples), rel=1e-6
         )
         assert r.stderr == pytest.approx(1e-6 / math.sqrt(12 * samples), rel=0.02)
+
+
+class TestBlockMemory:
+    @pytest.mark.parametrize("form", [
+        position_form(ZIPF, U4, 1024),
+        message_form(ZIPF, U4, 1024),
+        input_form(make_krr(4, 1.0), U4, 1024),
+    ], ids=["position", "message", "input"])
+    def test_block_peak_is_bounded_by_the_histogram(self, form):
+        # statistics run one symbol (or input) row at a time; a (symbols,
+        # rows) float temporary per step used to take a block to 700-800 KiB
+        _block_scores(form, 1024, _block_rng(0, 0), BLOCK_SIZE)  # first-call set-up is not counted
+        tracemalloc.start()
+        try:
+            _block_scores(form, 1024, _block_rng(0, 1), BLOCK_SIZE)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        histogram = 4 * BLOCK_SIZE * 8  # the block's (symbols, rows) int64 counts
+        assert peak < 3.5 * histogram
