@@ -1,4 +1,5 @@
-"""Experiment configuration: JSON literals, parsing, and validation.
+"""Experiment configuration: JSON literals, parsing, validation, and the
+cell table that says which code computes each (mode, quantity, method).
 
 A config is a single JSON document. Distribution literals:
 ``{"type": "uniform", "m": 4}``, ``{"type": "zipf", "m": 4, "alpha": 0.7}``,
@@ -10,11 +11,15 @@ literals: ``{"type": "krr", "k": 4, "eps0": 1.0}`` or
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import cycle, islice
+from typing import Callable
 
+import numpy as np
+
+from . import exact
 from .errors import InvalidParameterError, ResourceLimitError
 from .exact import (
     DEFAULT_LIMITS,
-    ExactLimits,
     check_states,
     check_states_position_dp,
     states_input_mi,
@@ -26,6 +31,18 @@ from .probability import Categorical, make_uniform, make_zipf
 MODES = ("shuffle_only", "shuffle_dp")
 QUANTITIES = ("IK", "IY1", "IX1")
 BASE_METHODS = ("exact", "mc", "asym", "bounds")
+# The CSV rows (concrete methods) each base method gives per n, for every
+# (mode, quantity) a config may ask for; a base that is absent gives none.
+CELLS = {
+    ("shuffle_only", "IK"): {"exact": ("exact",), "mc": ("mc",), "asym": ("asym",)},
+    ("shuffle_only", "IY1"): {"exact": ("exact",), "mc": ("mc",), "asym": ("asym",)},
+    ("shuffle_dp", "IX1"): {
+        "exact": ("exact",), "mc": ("mc",), "asym": ("asym",),
+        "bounds": ("bound_unified", "bound_blanket"),
+    },
+    ("shuffle_dp", "IK"): {"exact": ("exact",), "bounds": ("bound_position",)},
+    ("shuffle_dp", "IY1"): {"bounds": ("bound_clone",)},
+}
 KEYS = (
     "mode", "quantity", "P", "p", "Q", "q", "mechanism", "prior", "x_inputs",
     "n_grid", "samples", "seed", "method", "label",
@@ -63,6 +80,19 @@ class ExperimentConfig:
         if seed is not None:
             cfg = replace(cfg, seed=seed)
         return cfg
+
+    @property
+    def cover(self) -> Categorical | None:
+        """The covers' distribution: ``q``, or ``p`` when the covers share it."""
+        return self.q if self.q is not None else self.p
+
+    def input_prior(self) -> Categorical:
+        """The shuffle_dp input distribution: ``prior``, or uniform over the
+        mechanism's inputs."""
+        if self.prior is not None:
+            return self.prior
+        labels = self.mechanism.input_labels
+        return Categorical(labels, np.full(len(labels), 1.0 / len(labels)))
 
 
 DISTRIBUTION_KEYS = {"uniform": ("m",), "zipf": ("m", "alpha"), "explicit": ("labels", "probs")}
@@ -147,13 +177,6 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def methods_of(cfg: ExperimentConfig) -> tuple[str, ...]:
-    """Expand the method selector into base method names."""
-    if cfg.method == "all":
-        return BASE_METHODS
-    return tuple(cfg.method.split("+"))
-
-
 def parse_config(doc) -> tuple[ExperimentConfig | None, list[Diagnostic]]:
     """Build a config from a parsed JSON document, collecting diagnostics.
 
@@ -232,36 +255,28 @@ def parse_config(doc) -> tuple[ExperimentConfig | None, list[Diagnostic]]:
         method=method,
         label=str(doc.get("label", "")),
     )
-    diags.extend(validate_config(cfg))
+    # a literal that was given but is invalid has its own diagnostic, so
+    # the requirement that it be there is not reported again
+    given = {"P": "P" in doc or "p" in doc, "mechanism": "mechanism" in doc}
+    diags.extend(d for d in validate_config(cfg) if not given.get(d.field))
     return cfg, diags
 
 
-def validate_config(
-    cfg: ExperimentConfig, limits: ExactLimits = DEFAULT_LIMITS
-) -> list[Diagnostic]:
+def validate_config(cfg: ExperimentConfig) -> list[Diagnostic]:
     """Semantic checks: mode requirements, method support, exact feasibility."""
     diags: list[Diagnostic] = []
-    methods = methods_of(cfg)
-    explicit = cfg.method != "all"
-
     if cfg.mode == "shuffle_only":
-        if cfg.p is None:
+        complete = cfg.p is not None
+        if not complete:
             diags.append(Diagnostic("P", "shuffle_only requires a target distribution"))
         if cfg.quantity == "IX1":
             diags.append(
                 Diagnostic("quantity", "unrandomized messages equal inputs; use IY1")
             )
-        if explicit and "bounds" in methods:
-            diags.append(Diagnostic("method", "no bound methods in shuffle_only mode"))
     else:
-        if cfg.mechanism is None:
+        complete = cfg.mechanism is not None
+        if not complete:
             diags.append(Diagnostic("mechanism", "shuffle_dp requires a mechanism"))
-        if cfg.quantity == "IY1" and explicit and set(methods) - {"bounds", "asym"}:
-            diags.append(
-                Diagnostic("method", "shuffle_dp IY1 supports only bound methods")
-            )
-        if cfg.quantity == "IK" and explicit and "mc" in methods:
-            diags.append(Diagnostic("method", "no mc estimator for shuffle_dp IK"))
         if cfg.prior is not None and cfg.mechanism is not None:
             known = set(cfg.mechanism.input_labels)
             if any(lab not in known for lab in cfg.prior.support()):
@@ -278,31 +293,61 @@ def validate_config(
                                f"equal to its length {len(cfg.x_inputs)}")
                 )
 
-    if explicit and "exact" in methods:
-        for n in cfg.n_grid:
-            try:
-                _check_exact_states(cfg, n, limits)
-            except ResourceLimitError as exc:
-                diags.append(
-                    Diagnostic("n_grid", f"resource-limit: exact method at n={n}: {exc}")
-                )
+    if cfg.method != "all":
+        cell = CELLS.get((cfg.mode, cfg.quantity), {})
+        diags.extend(
+            Diagnostic("method", f"no {base} method for {cfg.mode} {cfg.quantity}")
+            for base in cfg.method.split("+")
+            if base not in cell
+        )
+        if complete and "exact" in cell_methods(cfg):
+            for n in cfg.n_grid:
+                try:
+                    exact_cell(cfg, n)[0]()
+                except ResourceLimitError as exc:
+                    diags.append(
+                        Diagnostic("n_grid", f"resource-limit: exact method at n={n}: {exc}")
+                    )
     return diags
 
 
-def _check_exact_states(cfg: ExperimentConfig, n: int, limits: ExactLimits) -> None:
-    """The state-ceiling check the exact oracle of this config runs at n."""
+def cell_methods(cfg: ExperimentConfig) -> tuple[str, ...]:
+    """The concrete methods a config evaluates at each n, in plan order."""
+    cell = CELLS.get((cfg.mode, cfg.quantity), {})
+    selected = BASE_METHODS if cfg.method == "all" else cfg.method.split("+")
+    return tuple(c for base in BASE_METHODS if base in selected for c in cell.get(base, ()))
+
+
+def exact_cell(
+    cfg: ExperimentConfig, n: int
+) -> tuple[Callable[[], None], Callable[[], float]]:
+    """The exact method of a config at n, as (ceiling check, oracle call).
+
+    The check raises ResourceLimitError exactly when the call would, without
+    enumerating anything. The call looks its oracle up in ``exact`` when it
+    runs. The matched message leakage is a closed form: it has no ceiling.
+    """
+    if "exact" not in CELLS.get((cfg.mode, cfg.quantity), {}):
+        raise InvalidParameterError(f"no exact method for {cfg.mode} {cfg.quantity}")
     if cfg.mode == "shuffle_only":
-        if cfg.p is None or (cfg.quantity == "IY1" and _matched(cfg)):
-            return  # the matched message leakage is a closed form: no enumeration
-        q = cfg.q if cfg.q is not None else cfg.p
-        check_states(states_shuffle_only(cfg.p, q, n), limits)
-    elif cfg.mechanism is not None:
-        k = len(cfg.mechanism.output_labels)
-        if cfg.quantity == "IX1":
-            check_states(states_input_mi(n, k), limits)
-        elif cfg.quantity == "IK":
-            check_states_position_dp(n, k, limits)
-
-
-def _matched(cfg: ExperimentConfig) -> bool:
-    return cfg.q is None or (cfg.p is not None and cfg.p.same_mass(cfg.q))
+        p, q = cfg.p, cfg.cover
+        if cfg.quantity == "IY1" and p.same_mass(q):
+            return (lambda: None), (lambda: exact.matched_message_mi(p, n))
+        check = lambda: check_states(states_shuffle_only(p, q, n), DEFAULT_LIMITS)
+        if cfg.quantity == "IK":
+            return check, (lambda: exact.position_mi_exact(p, q, n))
+        return check, (lambda: exact.message_mi_exact(p, q, n))
+    r = cfg.mechanism
+    k = len(r.output_labels)
+    if cfg.quantity == "IX1":
+        return (
+            lambda: check_states(states_input_mi(n, k), DEFAULT_LIMITS),
+            lambda: exact.input_mi_iid_others(r, cfg.input_prior(), n),
+        )
+    x_inputs = cfg.x_inputs
+    if x_inputs is None:
+        x_inputs = tuple(islice(cycle(r.input_labels), n))
+    return (
+        lambda: check_states_position_dp(n, k, DEFAULT_LIMITS),
+        lambda: exact.position_mi_fixed_inputs(r, x_inputs),
+    )

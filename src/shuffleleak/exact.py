@@ -520,9 +520,17 @@ def input_mi_shuffle_only(
     return _input_mi_hist(prior_vec, signal, rows, limits)
 
 
-def _position_likelihood_matrix(
-    r: Randomizer, x_inputs: Sequence, limits: ExactLimits
+def position_likelihoods(
+    r: Randomizer, x_inputs: Sequence, limits: ExactLimits = DEFAULT_LIMITS
 ) -> tuple[list[tuple], np.ndarray]:
+    """Conditional law of the released sequence given the target's position.
+
+    Returns (sequences, matrix) where matrix[i, j] is the probability of
+    sequences[j] given that the target's message landed at position i + 1,
+    with all users' inputs fixed to ``x_inputs``.
+    """
+    if len(x_inputs) < 1:
+        raise InvalidParameterError("need at least one input")
     n = len(x_inputs)
     k = len(r.output_labels)
     check_states_position_dp(n, k, limits)
@@ -543,20 +551,6 @@ def _position_likelihood_matrix(
     return z_tuples, like
 
 
-def position_likelihoods(
-    r: Randomizer, x_inputs: Sequence, limits: ExactLimits = DEFAULT_LIMITS
-) -> tuple[list[tuple], np.ndarray]:
-    """Conditional law of the released sequence given the target's position.
-
-    Returns (sequences, matrix) where matrix[i, j] is the probability of
-    sequences[j] given that the target's message landed at position i + 1,
-    with all users' inputs fixed to ``x_inputs``.
-    """
-    if len(x_inputs) < 1:
-        raise InvalidParameterError("need at least one input")
-    return _position_likelihood_matrix(r, x_inputs, limits)
-
-
 def position_mi_fixed_inputs(
     r: Randomizer, x_inputs: Sequence, limits: ExactLimits = DEFAULT_LIMITS
 ) -> float:
@@ -566,9 +560,7 @@ def position_mi_fixed_inputs(
     position by summing over assignments of the other users to the other
     slots (factorial work; small n only).
     """
-    if len(x_inputs) < 1:
-        raise InvalidParameterError("need at least one input")
-    _, like = _position_likelihood_matrix(r, x_inputs, limits)
+    _, like = position_likelihoods(r, x_inputs, limits)
     n = like.shape[0]
     pz = like.mean(axis=0)
     mask = like > 0

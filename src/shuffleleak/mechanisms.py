@@ -97,13 +97,19 @@ def make_krr(k: int, eps0: float) -> Randomizer:
     Keeps the input with probability (e^eps0 - 1) / (e^eps0 + k - 1) and
     otherwise outputs a uniform symbol, so the kernel has diagonal
     e^eps0 / (e^eps0 + k - 1) and off-diagonal 1 / (e^eps0 + k - 1).
-    Only finite eps0 > 0 is supported.
+    Only eps0 > 0 with e^eps0 finite as a float (eps0 below about 709.78)
+    is supported.
     """
     if k < 2:
         raise InvalidParameterError("k must be at least 2")
     if not (eps0 > 0) or math.isinf(eps0):
         raise InvalidParameterError("eps0 must be positive and finite")
-    e = math.exp(eps0)
+    try:
+        e = math.exp(eps0)
+    except OverflowError:
+        raise InvalidParameterError(
+            f"eps0 = {eps0} is too large: e^eps0 overflows a float"
+        ) from None
     denom = e + k - 1
     kernel = np.full((k, k), 1.0 / denom)
     np.fill_diagonal(kernel, e / denom)

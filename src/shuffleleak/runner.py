@@ -17,12 +17,11 @@ from typing import Sequence
 import numpy as np
 
 from . import asymptotics as asym
-from . import exact, montecarlo
-from .config import ExperimentConfig, methods_of
-from .errors import InvalidParameterError
-from .exact import DEFAULT_LIMITS, ExactLimits
+from . import montecarlo
+from .config import ExperimentConfig, cell_methods, exact_cell
+from .errors import InvalidParameterError, ResourceLimitError
 from .mechanisms import blanket_of_randomizer, ldp_epsilon, make_krr
-from .probability import Categorical, make_uniform, make_zipf
+from .probability import make_uniform, make_zipf
 
 CSV_HEADER = ("case", "n", "method", "quantity", "value_nats", "stderr")
 
@@ -42,102 +41,42 @@ def _derive_seed(seed: int, cfg_index: int, row_index: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _concrete_methods(cfg: ExperimentConfig) -> list[str]:
-    selected = methods_of(cfg)
-    wanted = []
-    if cfg.mode == "shuffle_only":
-        table = {"exact": ["exact"], "mc": ["mc"], "asym": ["asym"], "bounds": []}
-    elif cfg.quantity == "IX1":
-        table = {
-            "exact": ["exact"],
-            "mc": ["mc"],
-            "asym": ["asym"],
-            "bounds": ["bound_unified", "bound_blanket"],
-        }
-    elif cfg.quantity == "IK":
-        table = {"exact": ["exact"], "mc": [], "asym": [], "bounds": ["bound_position"]}
-    else:  # shuffle_dp IY1
-        table = {"exact": [], "mc": [], "asym": [], "bounds": ["bound_clone"]}
-    for base in ("exact", "mc", "asym", "bounds"):
-        if base in selected:
-            wanted.extend(table[base])
-    return wanted
-
-
-def _dp_prior(cfg: ExperimentConfig) -> Categorical:
-    if cfg.prior is not None:
-        return cfg.prior
-    labels = cfg.mechanism.input_labels
-    return Categorical(labels, np.full(len(labels), 1.0 / len(labels)))
-
-
-def _dp_inputs(cfg: ExperimentConfig, n: int) -> tuple:
-    if cfg.x_inputs is not None:
-        return cfg.x_inputs
-    labels = cfg.mechanism.input_labels
-    return tuple(labels[i % len(labels)] for i in range(n))
-
-
-def compute_row(
-    cfg: ExperimentConfig,
-    n: int,
-    method: str,
-    row_seed: int,
-    limits: ExactLimits = DEFAULT_LIMITS,
-    skip_infeasible_exact: bool = False,
-) -> ResultRow | None:
+def compute_row(cfg: ExperimentConfig, n: int, method: str, row_seed: int) -> ResultRow | None:
     """Evaluate one (n, method) cell of a config. Returns None when an
     exact cell is skipped for exceeding the ceiling under 'all'."""
+    if method not in cell_methods(cfg):
+        raise InvalidParameterError(f"method {method!r} is not planned for this config")
     quantity = cfg.quantity
     value: float
     stderr: float | None = None
 
-    if cfg.mode == "shuffle_only":
-        p = cfg.p
-        q = cfg.q if cfg.q is not None else p
-        matched = cfg.q is None or p.same_mass(q)
-        if method == "exact":
-            try:
-                if quantity == "IK":
-                    value = exact.position_mi_exact(p, q, n, limits)
-                elif matched:
-                    value = exact.matched_message_mi(p, n)
-                else:
-                    value = exact.message_mi_exact(p, q, n, limits)
-            except exact.ResourceLimitError:
-                if skip_infeasible_exact:
-                    return None
-                raise
-        elif method == "mc":
+    if method == "exact":
+        try:
+            value = exact_cell(cfg, n)[1]()
+        except ResourceLimitError:
+            if cfg.method == "all":
+                return None
+            raise
+    elif cfg.mode == "shuffle_only":
+        p, q = cfg.p, cfg.cover
+        if method == "mc":
             est = (
                 montecarlo.estimate_position_mi(p, q, n, cfg.samples, row_seed)
                 if quantity == "IK"
                 else montecarlo.estimate_message_mi(p, q, n, cfg.samples, row_seed)
             )
             value, stderr = est.estimate, est.stderr
-        elif method == "asym":
+        else:  # asym
             term = (
                 asym.position_mi_expansion(p, q)
                 if quantity == "IK"
                 else asym.message_mi_expansion(p, q)
             )
             value = term.evaluate(n)
-        else:
-            raise InvalidParameterError(f"unsupported method {method!r}")
     else:
         r = cfg.mechanism
-        prior = _dp_prior(cfg)
-        if method == "exact":
-            try:
-                if quantity == "IX1":
-                    value = exact.input_mi_iid_others(r, prior, n, limits)
-                else:
-                    value = exact.position_mi_fixed_inputs(r, _dp_inputs(cfg, n), limits)
-            except exact.ResourceLimitError:
-                if skip_infeasible_exact:
-                    return None
-                raise
-        elif method == "mc":
+        prior = cfg.input_prior()
+        if method == "mc":
             est = montecarlo.estimate_input_mi(r, prior, n, cfg.samples, row_seed)
             value, stderr = est.estimate, est.stderr
         elif method == "asym":
@@ -149,20 +88,14 @@ def compute_row(
             value = asym.mean_chi2(prior, r, qb) / (2.0 * n)
         elif method == "bound_position":
             value = asym.position_mi_dp_bound(ldp_epsilon(r))
-        elif method == "bound_clone":
+        else:  # bound_clone
             value = asym.clone_message_bound(
                 len(r.output_labels), ldp_epsilon(r), n
             )
-        else:
-            raise InvalidParameterError(f"unsupported method {method!r}")
     return ResultRow(cfg.label, n, method, quantity, value, stderr)
 
 
-def run_configs(
-    configs: Sequence[ExperimentConfig],
-    limits: ExactLimits = DEFAULT_LIMITS,
-    workers: int = 1,
-) -> list[ResultRow]:
+def run_configs(configs: Sequence[ExperimentConfig], workers: int = 1) -> list[ResultRow]:
     """Run every (n, method) cell of every config, in plan order.
 
     Exact cells are skipped (not errored) when infeasible under the 'all'
@@ -170,15 +103,12 @@ def run_configs(
     """
     tasks = []
     for ci, cfg in enumerate(configs):
-        skip = cfg.method == "all"
         for n in cfg.n_grid:
-            for method in _concrete_methods(cfg):
-                row_seed = _derive_seed(cfg.seed, ci, len(tasks))
-                tasks.append((cfg, n, method, row_seed, skip))
+            for method in cell_methods(cfg):
+                tasks.append((cfg, n, method, _derive_seed(cfg.seed, ci, len(tasks))))
 
     def work(task):
-        cfg, n, method, row_seed, skip = task
-        return compute_row(cfg, n, method, row_seed, limits, skip)
+        return compute_row(*task)
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -260,13 +190,3 @@ def preset_configs(name: str, samples: int | None = None, seed: int | None = Non
         raise InvalidParameterError(f"unknown preset {name!r}")
     return [c.with_overrides(samples=samples, seed=seed) for c in cfgs]
 
-
-def run_preset(
-    name: str,
-    samples: int | None = None,
-    seed: int | None = None,
-    workers: int = 1,
-    limits: ExactLimits = DEFAULT_LIMITS,
-) -> str:
-    """Run a preset and return its CSV document."""
-    return to_csv(run_configs(preset_configs(name, samples, seed), limits, workers))

@@ -1,0 +1,169 @@
+"""The cell table: which rows a config plans, which explicit methods are
+diagnostics, and which exact cells the runner skips under ``all``."""
+
+import math
+
+import pytest
+
+from shuffleleak.config import (
+    BASE_METHODS,
+    MODES,
+    QUANTITIES,
+    cell_methods,
+    parse_config,
+    validate_config,
+)
+from shuffleleak.errors import InvalidParameterError
+from shuffleleak.runner import compute_row, run_configs
+
+ZIPF4 = {"type": "zipf", "m": 4, "alpha": 0.7}
+UNIFORM4 = {"type": "uniform", "m": 4}
+
+
+def krr(k):
+    return {"type": "krr", "k": k, "eps0": 1.0}
+
+
+def cell_doc(mode, quantity, method, n_grid=(4,)):
+    literal = {"P": ZIPF4, "Q": UNIFORM4} if mode == "shuffle_only" else {"mechanism": krr(4)}
+    return {**literal, "mode": mode, "quantity": quantity, "method": method,
+            "n_grid": list(n_grid), "samples": 4096}
+
+
+# (mode, quantity, base) whose explicit request is a method diagnostic
+NO_ROWS = {
+    ("shuffle_only", "IK", "bounds"),
+    ("shuffle_only", "IY1", "bounds"),
+    *(("shuffle_only", "IX1", base) for base in BASE_METHODS),
+    ("shuffle_dp", "IK", "mc"),
+    ("shuffle_dp", "IK", "asym"),
+    ("shuffle_dp", "IY1", "exact"),
+    ("shuffle_dp", "IY1", "mc"),
+    ("shuffle_dp", "IY1", "asym"),
+}
+
+
+def gives_rows(base, rows):
+    return any(r.method == base or (base == "bounds" and r.method.startswith("bound_"))
+               for r in rows)
+
+
+class TestExplicitMethods:
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("quantity", QUANTITIES)
+    @pytest.mark.parametrize("base", BASE_METHODS)
+    def test_rows_or_a_method_diagnostic(self, mode, quantity, base):
+        cfg, diags = parse_config(cell_doc(mode, quantity, base))
+        method_diags = [str(d) for d in diags if d.field == "method"]
+        if (mode, quantity, base) in NO_ROWS:
+            assert method_diags == [f"method: no {base} method for {mode} {quantity}"]
+        else:
+            assert diags == []
+            assert gives_rows(base, run_configs([cfg]))
+
+    def test_one_diagnostic_per_missing_base(self):
+        _, diags = parse_config(cell_doc("shuffle_dp", "IK", "exact+mc+asym+bounds"))
+        assert [str(d) for d in diags] == [
+            "method: no mc method for shuffle_dp IK",
+            "method: no asym method for shuffle_dp IK",
+        ]
+
+    @pytest.mark.parametrize("method", ["mc", "asym", "bound_unified", "exact_dense"])
+    def test_compute_row_rejects_an_unplanned_method(self, method):
+        cfg, diags = parse_config(cell_doc("shuffle_dp", "IK", "all"))
+        assert diags == []
+        with pytest.raises(InvalidParameterError):
+            compute_row(cfg, 4, method, 0)
+
+    def test_all_plans_every_row_of_the_cell(self):
+        cfg, diags = parse_config(cell_doc("shuffle_dp", "IX1", "all"))
+        assert diags == []
+        assert cell_methods(cfg) == ("exact", "mc", "asym", "bound_unified", "bound_blanket")
+
+
+# config literals, and the n whose exact cell exceeds the 10^7 state ceiling
+SKIP_CASES = {
+    "shuffle_only_IK": ({"mode": "shuffle_only", "quantity": "IK",
+                         "P": ZIPF4, "Q": UNIFORM4}, 10**6),
+    "shuffle_only_IY1": ({"mode": "shuffle_only", "quantity": "IY1",
+                          "P": ZIPF4, "Q": UNIFORM4}, 10**6),
+    "shuffle_dp_IX1_krr4": ({"mode": "shuffle_dp", "quantity": "IX1",
+                             "mechanism": krr(4)}, 1000),  # (n + 1)^3 > 10^7
+    "shuffle_dp_IK_krr5": ({"mode": "shuffle_dp", "quantity": "IK",
+                            "mechanism": krr(5)}, 16384),
+}
+
+
+class TestExactSkips:
+    """Validation flags exactly the exact cells that the runner skips."""
+
+    @staticmethod
+    def parsed(literals, method, n_grid):
+        return parse_config({**literals, "method": method, "n_grid": list(n_grid),
+                             "samples": 4096})
+
+    @pytest.mark.parametrize("case", SKIP_CASES)
+    def test_explicit_exact_flags_exactly_n(self, case):
+        literals, big = SKIP_CASES[case]
+        cfg, _ = self.parsed(literals, "exact", (4, big))
+        diags = validate_config(cfg)
+        assert len(diags) == 1
+        assert str(diags[0]).startswith(f"n_grid: resource-limit: exact method at n={big}: ")
+
+    @pytest.mark.parametrize("case", SKIP_CASES)
+    def test_all_omits_exactly_the_exact_row_at_n(self, case):
+        literals, big = SKIP_CASES[case]
+        cfg, diags = self.parsed(literals, "all", (4, big))
+        assert diags == []
+        cells = [(r.n, r.method) for r in run_configs([cfg])]
+        planned = [(n, m) for n in (4, big) for m in cell_methods(cfg)]
+        assert "exact" in cell_methods(cfg)
+        assert cells == [c for c in planned if c != (big, "exact")]
+
+    def test_matched_closed_form_is_never_flagged(self):
+        literals = {"mode": "shuffle_only", "quantity": "IY1", "P": ZIPF4}
+        cfg, diags = self.parsed(literals, "exact", (4, 10**6))
+        assert diags == [] and validate_config(cfg) == []
+        rows = run_configs([cfg])
+        assert [(r.n, r.method) for r in rows] == [(4, "exact"), (10**6, "exact")]
+        assert all(math.isfinite(r.value) and r.value > 0 for r in rows)
+
+
+class TestOneDiagnosticPerLiteral:
+    """A literal that is given but invalid is not also reported as missing."""
+
+    @pytest.mark.parametrize("mechanism", [
+        {"type": "krr", "k": 1, "eps0": 1},
+        {"type": "krr", "k": 4, "eps0": 1000},
+        {"type": "laplace", "k": 4},
+        "krr",
+    ])
+    def test_invalid_mechanism(self, mechanism):
+        _, diags = parse_config({"mode": "shuffle_dp", "quantity": "IX1",
+                                 "mechanism": mechanism, "n_grid": [4]})
+        assert [d.field for d in diags] == ["mechanism"]
+        assert "requires" not in diags[0].message
+
+    @pytest.mark.parametrize("key,literal", [
+        ("P", {"type": "zipf", "m": 4, "alpha": "0.7"}),
+        ("P", {"type": "gauss", "m": 4}),
+        ("p", {"type": "uniform", "m": 1.5}),
+        ("P", [0.5, 0.5]),
+    ])
+    def test_invalid_target(self, key, literal):
+        _, diags = parse_config({"mode": "shuffle_only", "quantity": "IY1",
+                                 key: literal, "n_grid": [4]})
+        assert [d.field for d in diags] == ["P"]
+        assert "requires" not in diags[0].message
+
+    def test_missing_literals_are_still_required(self):
+        _, diags = parse_config({"mode": "shuffle_only", "quantity": "IY1", "n_grid": [4]})
+        assert [str(d) for d in diags] == ["P: shuffle_only requires a target distribution"]
+        _, diags = parse_config({"mode": "shuffle_dp", "quantity": "IX1", "n_grid": [4]})
+        assert [str(d) for d in diags] == ["mechanism: shuffle_dp requires a mechanism"]
+
+    def test_overflowing_eps0_names_eps0(self):
+        _, diags = parse_config({"mode": "shuffle_dp", "quantity": "IX1",
+                                 "mechanism": {"type": "krr", "k": 4, "eps0": 1000},
+                                 "n_grid": [4]})
+        assert "eps0" in diags[0].message and "math range error" not in diags[0].message

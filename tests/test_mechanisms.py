@@ -46,6 +46,15 @@ class TestKrr:
         with pytest.raises(InvalidParameterError):
             make_krr(4, math.inf)
 
+    def test_rejects_overflowing_eps(self):
+        # e^eps0 overflows a float above eps0 ~ 709.78
+        with pytest.raises(InvalidParameterError, match="eps0"):
+            make_krr(4, 1000.0)
+
+    def test_largest_finite_eps(self):
+        r = make_krr(4, 709.0)
+        assert np.allclose(r.kernel.sum(axis=1), 1.0) and r.kernel[0, 0] == 1.0
+
     def test_rows_sum_to_one(self):
         r = make_krr(5, 0.3)
         assert np.allclose(r.kernel.sum(axis=1), 1.0)
