@@ -21,8 +21,8 @@ from .errors import InvalidParameterError, ResourceLimitError
 from .exact import (
     DEFAULT_LIMITS,
     check_states,
-    check_states_position_dp,
     states_input_mi,
+    states_position_dp,
     states_shuffle_only,
 )
 from .mechanisms import Randomizer, make_krr
@@ -339,15 +339,11 @@ def exact_cell(
         return check, (lambda: exact.message_mi_exact(p, q, n))
     r = cfg.mechanism
     k = len(r.output_labels)
+    count = states_input_mi if cfg.quantity == "IX1" else states_position_dp
+    check = lambda: check_states(count(n, k), DEFAULT_LIMITS)
     if cfg.quantity == "IX1":
-        return (
-            lambda: check_states(states_input_mi(n, k), DEFAULT_LIMITS),
-            lambda: exact.input_mi_iid_others(r, cfg.input_prior(), n),
-        )
+        return check, (lambda: exact.input_mi_iid_others(r, cfg.input_prior(), n))
     x_inputs = cfg.x_inputs
     if x_inputs is None:
         x_inputs = tuple(islice(cycle(r.input_labels), n))
-    return (
-        lambda: check_states_position_dp(n, k, DEFAULT_LIMITS),
-        lambda: exact.position_mi_fixed_inputs(r, x_inputs),
-    )
+    return check, (lambda: exact.position_mi_fixed_inputs(r, x_inputs))

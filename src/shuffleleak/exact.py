@@ -1,6 +1,6 @@
 """Ground-truth leakage values at small scale.
 
-Three kinds of machinery live here, each behind a state ceiling that
+Two kinds of machinery live here, each behind a state ceiling that
 raises before anything is allocated:
 
 - A histogram engine for position and message leakage of the
@@ -27,10 +27,15 @@ raises before anything is allocated:
   10^7 states binds before time does: n = 224 for the two-distribution
   oracles and n = 208 for i.i.d. input, each in about 0.15-0.25 s on one
   core.
-- A dense convolution of per-user rows for input leakage when the other
-  users' rows differ (fixed inputs, heterogeneous covers).
-- Permutation enumeration for position leakage with fixed inputs
-  (factorial work; small n only).
+- A dense driver for a target row among other users whose rows differ
+  (fixed inputs, heterogeneous covers). It convolves the other rows into
+  the law of their counts on the (n + 1)^(k - 1) count grid and returns
+  it shifted by each target message a, s[a](h) = P_others(h - e_a). Two
+  statistics read it: input leakage mixes the shifts through the
+  target's kernel rows, and position leakage with fixed inputs weighs
+  them by the target's row, t_a = R[x_1, a] s[a], with the position
+  posterior proportional to t_a / h_a. Its work is n (n + 1)^(k - 1):
+  at k = 4 the default ceiling allows n = 55.
 
 Finite-n closed forms built from binomial expectations stay exact at any
 n and need no ceiling. Their Bin(n, p) pmf is built in numpy from the
@@ -47,7 +52,7 @@ import math
 from dataclasses import dataclass
 from itertools import chain, permutations, product, repeat
 from math import comb, factorial, lgamma
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -87,21 +92,6 @@ def check_states(states: int, limits: ExactLimits) -> None:
         raise _limit_error(text, limits)
 
 
-def check_states_position_dp(n: int, n_outputs: int, limits: ExactLimits) -> None:
-    """The ceiling check of ``states_position_dp`` without building the count.
-
-    The count is a product of factors >= 1, so the partial product passes
-    the ceiling exactly when the count does; it is compared as it grows
-    and the full integer is never formed.
-    """
-    acc = n
-    for f in chain(range(2, n), repeat(n_outputs, n)):
-        acc *= f
-        if acc > limits.max_states:
-            log_states = n * math.log(n_outputs) + math.log(n) + lgamma(max(n - 1, 1) + 1)
-            raise _limit_error(f"~10^{int(log_states / math.log(10))}", limits)
-
-
 def states_shuffle_only(p: Categorical, q: Categorical, n: int) -> int:
     """Enumeration size of the histogram oracle for the two-distribution channel."""
     s = len(q.support())
@@ -109,15 +99,18 @@ def states_shuffle_only(p: Categorical, q: Categorical, n: int) -> int:
 
 
 def states_input_mi(n: int, n_outputs: int) -> int:
-    """Cell count of the dense histogram recursion for input-leakage oracles."""
+    """State count charged to the i.i.d. input oracle: the (n + 1)^(k - 1)
+    grid of counts that holds its histograms."""
     if n_outputs <= 1:
         return 1
     return (n + 1) ** (n_outputs - 1)
 
 
 def states_position_dp(n: int, n_outputs: int) -> int:
-    """Work estimate of the permutation oracle for position leakage."""
-    return (n_outputs**n) * n * factorial(max(n - 1, 1))
+    """Work of the dense driver behind the fixed-input and heterogeneous
+    oracles: n draws (the target's included), each updating every cell of
+    the (n + 1)^(k - 1) grid of counts."""
+    return n * (n + 1) ** (n_outputs - 1)
 
 
 def _bounded_vectors(total: int, dim: int) -> Iterator[np.ndarray]:
@@ -221,16 +214,22 @@ def _visible_split(p: Categorical, q: Categorical, n: int) -> tuple[np.ndarray, 
     return pv[vis], qv[vis], pv[~vis]
 
 
+def _or_one(v: np.ndarray) -> np.ndarray:
+    """``v`` with its entries <= 0 replaced by 1: a safe divisor, or a
+    logarithm's argument whose term is multiplied by 0."""
+    return np.where(v > 0, v, 1.0)
+
+
 def _s_log_n_over_s(s: np.ndarray, n: int) -> np.ndarray:
     """S log(n / S) per histogram, 0 where S = 0 (no target mass)."""
-    return s * np.log(n / np.where(s > 0, s, 1.0))
+    return s * np.log(n / _or_one(s))
 
 
 def position_form(p: Categorical, q: Categorical, n: int) -> HistogramForm:
     """Position leakage of the two-distribution channel as a histogram form."""
     target, cover, hidden = _visible_split(p, q, n)
     w = target / cover
-    wlogw = w * np.log(np.where(w > 0, w, 1.0))
+    wlogw = w * np.log(_or_one(w))
 
     def statistic(h):
         return (wlogw @ h + _s_log_n_over_s(w @ h, n)) / n
@@ -252,7 +251,7 @@ def message_form(p: Categorical, q: Categorical, n: int) -> HistogramForm:
     def statistic(h):
         # one symbol row at a time, so no (symbols, rows) float array is built
         s = sum(h[j] * w[j] for j in range(len(w)))
-        safe_s = np.where(s > 0, s, 1.0)
+        safe_s = _or_one(s)
         total = np.zeros(h.shape[1])
         for j in sent:
             hw = h[j] * w[j]
@@ -288,7 +287,7 @@ def input_form(r: Randomizer, prior: Categorical, n: int) -> HistogramForm:
         total = np.zeros(h.shape[1])
         for x in range(len(px)):
             t = ratio[x] @ h
-            total += px[x] * t * np.log(np.where(t > 0, t, 1.0))
+            total += px[x] * t * np.log(_or_one(t))
         return total
 
     return HistogramForm(cover, cover, statistic, 0.0)
@@ -392,68 +391,62 @@ def message_minus_position_mi(p: Categorical, q: Categorical, n: int) -> float:
     return math.fsum(terms)
 
 
-def _add_draw(law: np.ndarray, row: np.ndarray) -> np.ndarray:
-    """Law of the counts after one more independent draw from ``row``.
+def _shifted_laws(
+    n: int, k: int, other_rows: Iterable[Sequence[float]], limits: ExactLimits
+) -> tuple[np.ndarray, np.ndarray]:
+    """The dense driver: the law of the other users' counts, shifted by the
+    target's message.
 
-    ``law`` is indexed by the counts of symbols 1..k-1; a count shifted
-    past the last index of an axis is dropped.
+    The n - 1 other users draw once each from the k-symbol rows
+    ``other_rows``, which are read only after the ceiling check passes, and
+    the target's message makes n. Returns (s, h), both (k, histograms), over
+    every histogram h of n messages: h[a] is the count of symbol a and
+    s[a] = P_others(h - e_a), the law with the target's message taken to
+    be a. The law is built one draw at a time on the (n + 1)^(k - 1) grid
+    of the counts of symbols 1..k-1 (the count of symbol 0 is implicit),
+    so no draw, the target's included, shifts mass off the grid.
     """
-    new = row[0] * law
-    for axis in range(law.ndim):
-        src = [slice(None)] * law.ndim
-        dst = [slice(None)] * law.ndim
-        src[axis] = slice(0, -1)
-        dst[axis] = slice(1, None)
-        new[tuple(dst)] += row[axis + 1] * law[tuple(src)]
-    return new
-
-
-def _hist_law_dense(other_rows: np.ndarray, limits: ExactLimits) -> np.ndarray:
-    """Law of the count vector of independent draws, one per row.
-
-    Counts of output symbol 0 are implicit (total minus the rest), so the
-    returned array is indexed by the counts of symbols 1..k-1.
-    """
-    t, k = other_rows.shape
-    if k == 1:
-        return np.ones(())
-    check_states((t + 2) ** (k - 1), limits)
-    law = np.zeros((t + 1,) * (k - 1))
+    check_states(states_position_dp(n, k), limits)
+    law = np.zeros((n + 1,) * (k - 1))
     law[(0,) * (k - 1)] = 1.0
     for row in other_rows:
-        law = _add_draw(law, row)
-    return law
+        new = row[0] * law
+        for axis in range(k - 1):
+            head = (slice(None),) * axis
+            new[head + (slice(1, None),)] += row[axis + 1] * law[head + (slice(0, -1),)]
+        law = new
+    cells = np.flatnonzero(sum(np.indices(law.shape, sparse=True)) <= n)
+    # flat offset of e_a on the grid; symbol 0 has no axis
+    step = np.array((0,) + law.strides)[:, None] // law.itemsize
+    h = cells // step[1:] % (n + 1)
+    h = np.vstack([n - h.sum(axis=0), h])
+    s = np.where(h > 0, law.ravel()[np.where(h > 0, cells - step, 0)], 0.0)
+    return s, h
 
 
 def _input_mi_hist(
     prior_vec: np.ndarray,
     signal_rows: np.ndarray,
-    other_rows: np.ndarray,
+    n: int,
+    other_rows: Iterable[Sequence[float]],
     limits: ExactLimits,
 ) -> float:
     """Mutual information between the signal index and the pooled histogram.
 
     One draw comes from signal_rows[x] (x distributed per prior_vec); the
-    remaining draws come from other_rows, independently. The histogram of
-    all draws is observed.
+    n - 1 other draws come from other_rows, independently. The histogram of
+    all draws is observed. Each histogram's likelihoods are divided by
+    their largest before they are mixed: the mixture is then at least the
+    smallest prior mass, so it cannot underflow to 0 where a likelihood is
+    positive, however far in the tail of the law the histogram lies.
     """
-    nx, k = signal_rows.shape
-    if k == 1:
-        return 0.0
-    law = _hist_law_dense(other_rows, limits)
-    t = other_rows.shape[0]
-    padded = np.zeros((t + 2,) * (k - 1))
-    padded[tuple(slice(0, t + 1) for _ in range(k - 1))] = law
-    lx = np.array([_add_draw(padded, row).ravel() for row in signal_rows])
-    pc = prior_vec @ lx
-    total = 0.0
-    for x in range(nx):
-        px = float(prior_vec[x])
-        if px == 0.0:
-            continue
-        m = lx[x] > 0
-        total += px * float(np.sum(lx[x][m] * np.log(lx[x][m] / pc[m])))
-    return total
+    s, _ = _shifted_laws(n, signal_rows.shape[1], other_rows, limits)
+    seen = prior_vec > 0
+    px = prior_vec[seen]
+    lx = signal_rows[seen] @ s
+    ratio = lx / _or_one(lx.max(axis=0))
+    ratio /= _or_one(px @ ratio)  # P(h | x) / P(h)
+    return float(px @ (lx * np.log(_or_one(ratio))).sum(axis=1))
 
 
 def input_mi_fixed_others(
@@ -468,12 +461,7 @@ def input_mi_fixed_others(
     remaining user i contributes one draw from the row of ``x_rest[i]``.
     """
     prior_vec = _prior_vector(prior, r.input_labels)
-    rows = (
-        np.array([r.row(x) for x in x_rest])
-        if len(x_rest)
-        else np.zeros((0, len(r.output_labels)))
-    )
-    return _input_mi_hist(prior_vec, r.kernel, rows, limits)
+    return _input_mi_hist(prior_vec, r.kernel, len(x_rest) + 1, map(r.row, x_rest), limits)
 
 
 def input_mi_iid_others(
@@ -515,9 +503,25 @@ def input_mi_shuffle_only(
     signal = np.zeros((len(p1.labels), len(labels)))
     for i, lab in enumerate(p1.labels):
         signal[i, labels.index(lab)] = 1.0
-    rows = np.array([[d.prob(lab) for lab in labels] for d in others]) if others else np.zeros((0, len(labels)))
+    rows = ([d.prob(lab) for lab in labels] for d in others)
     prior_vec = np.asarray(p1.probs)
-    return _input_mi_hist(prior_vec, signal, rows, limits)
+    return _input_mi_hist(prior_vec, signal, len(others) + 1, rows, limits)
+
+
+def _check_sequence_states(n: int, n_outputs: int, limits: ExactLimits) -> None:
+    """The ceiling check of ``position_likelihoods``: k^n sequences times n
+    positions times (n - 1)! assignments of the other users.
+
+    The count is a product of factors >= 1, so the partial product passes
+    the ceiling exactly when the count does; it is compared as it grows
+    and the full integer is never formed.
+    """
+    acc = n
+    for f in chain(range(2, n), repeat(n_outputs, n)):
+        acc *= f
+        if acc > limits.max_states:
+            log_states = n * math.log(n_outputs) + math.log(n) + lgamma(max(n - 1, 1) + 1)
+            raise _limit_error(f"~10^{int(log_states / math.log(10))}", limits)
 
 
 def position_likelihoods(
@@ -533,7 +537,7 @@ def position_likelihoods(
         raise InvalidParameterError("need at least one input")
     n = len(x_inputs)
     k = len(r.output_labels)
-    check_states_position_dp(n, k, limits)
+    _check_sequence_states(n, k, limits)
     rows = np.array([r.row(x) for x in x_inputs])
     z_idx = np.array(list(product(range(k), repeat=n)), dtype=np.intp).reshape(-1, n)
     nz = z_idx.shape[0]
@@ -556,14 +560,16 @@ def position_mi_fixed_inputs(
 ) -> float:
     """Exact position leakage with all users' inputs fixed.
 
-    Enumerates the conditional law of the released sequence given each
-    position by summing over assignments of the other users to the other
-    slots (factorial work; small n only).
+    Summed over the released sequences with histogram h whose slot k holds
+    a, P(z | K = k) is t_a(h) = R[x_1, a] P_others(h - e_a) for every k, so
+    the position posterior at such a sequence is proportional to t_a / h_a
+    and I(K; Z) = sum_h sum_a t_a log(n t_a / (h_a sum_b t_b)).
     """
-    _, like = position_likelihoods(r, x_inputs, limits)
-    n = like.shape[0]
-    pz = like.mean(axis=0)
-    mask = like > 0
-    safe_pz = np.where(pz > 0, pz, 1.0)
-    terms = np.where(mask, like * np.log(np.where(mask, like / safe_pz, 1.0)), 0.0)
-    return float(terms.sum() / n)
+    n = len(x_inputs)
+    if n < 1:
+        raise InvalidParameterError("need at least one input")
+    s, h = _shifted_laws(n, len(r.output_labels), map(r.row, x_inputs[1:]), limits)
+    t = r.row(x_inputs[0])[:, None] * s
+    # n t_a / (h_a sum_b t_b), taken where t_a > 0 (so h_a >= 1)
+    ratio = t / _or_one(t.sum(axis=0)) * (n / np.maximum(h, 1))
+    return float((t * np.log(_or_one(ratio))).sum())

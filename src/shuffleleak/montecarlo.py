@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AbsoluteContinuityError, InvalidParameterError
+from .errors import InvalidParameterError
 from .exact import HistogramForm, input_form, message_form, position_form
 from .mechanisms import Randomizer
 from .probability import Categorical
@@ -139,11 +139,5 @@ def estimate_input_mi(
     samples: int = 100_000,
     seed: int = 0,
 ) -> EstimatorResult:
-    """Monte Carlo input leakage with all users' inputs i.i.d. from ``prior``.
-
-    Requires the output marginal positive wherever any kernel row has mass.
-    """
-    form = input_form(r, prior, n)
-    if len(form.cover) < np.count_nonzero(r.kernel.any(axis=0)):
-        raise AbsoluteContinuityError("output marginal misses part of a row's support")
-    return _sample(form, n, samples, seed)
+    """Monte Carlo input leakage with all users' inputs i.i.d. from ``prior``."""
+    return _sample(input_form(r, prior, n), n, samples, seed)

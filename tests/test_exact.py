@@ -245,6 +245,18 @@ class TestInputOracles:
         got = input_mi_fixed_others(r, make_uniform(4), (1, 2))
         assert got == pytest.approx(expect, abs=1e-12)
 
+    @pytest.mark.parametrize("n", [1024, 2048])
+    def test_fixed_others_finite_at_large_n(self, n):
+        # others whose row is the output marginal are i.i.d. others; at
+        # n = 2048 the law's tail is subnormal, and its mixture with the
+        # prior must not underflow to 0 where a likelihood is positive
+        r = make_krr(2, 0.5)
+        prior = make_uniform(2)
+        marginal = np.array([prior.prob(x) for x in r.input_labels]) @ r.kernel
+        ext = Randomizer(r.input_labels + ("m",), r.output_labels, np.vstack([r.kernel, marginal]))
+        got = input_mi_fixed_others(ext, prior, ("m",) * (n - 1))
+        assert got == pytest.approx(input_mi_iid_others(r, prior, n), rel=1e-9)
+
     def test_iid_ceiling(self):
         with pytest.raises(ResourceLimitError):
             input_mi_iid_others(make_krr(4, 1.0), make_uniform(4), 10_000,
@@ -286,10 +298,28 @@ class TestPositionFixedInputs:
         )
 
     def test_matches_brute_force(self):
-        r = make_krr(2, math.log(3))
-        for xs in ((1, 2, 2), (1, 1, 2), (2, 1, 2, 1)):
-            assert position_mi_fixed_inputs(r, xs) == pytest.approx(
-                brute_position_mi_fixed_inputs(r, xs), abs=1e-12
+        cases = (
+            (make_krr(2, math.log(3)), ((1, 2, 2), (1, 1, 2), (2, 1, 2, 1))),
+            (make_krr(3, 0.9), ((1, 2), (2, 2, 3), (3, 1, 2, 1), (1, 2, 3, 3, 2))),
+            (make_krr(4, 1.2), ((4, 1), (1, 2, 3), (2, 4, 4, 1), (1, 2, 3, 4, 1))),
+            (Randomizer((1, 2), ("a", "b", "c"), [[0.7, 0.3, 0.0], [0.1, 0.2, 0.7]]),
+             ((1, 2, 2), (2, 1, 1, 2))),
+        )
+        for r, inputs in cases:
+            for xs in inputs:
+                assert position_mi_fixed_inputs(r, xs) == pytest.approx(
+                    brute_position_mi_fixed_inputs(r, xs), abs=1e-12
+                )
+
+    @pytest.mark.parametrize("n", [2, 5, 40, 150])
+    def test_matches_two_distribution_channel(self, n):
+        # a target sending from p among covers sending from q is the
+        # two-distribution channel; the second pair's cover hides a symbol
+        for p, q in ((dist(0.5, 0.3, 0.2), dist(0.2, 0.3, 0.5)),
+                     (dist(0.6, 0.1, 0.3), dist(0.5, 0.5, 0.0))):
+            r = Randomizer(("p", "q"), p.labels, [p.probs, q.probs])
+            assert position_mi_fixed_inputs(r, ("p",) + ("q",) * (n - 1)) == pytest.approx(
+                position_mi_exact(p, q, n), rel=1e-12, abs=1e-15
             )
 
     def test_bounded_by_twice_eps(self):
@@ -321,9 +351,31 @@ class TestPositionFixedInputs:
                     ratio = math.log(pos.max() / pos.min())
                     assert ratio <= 2 * eps + 1e-9
 
-    def test_factorial_ceiling(self):
-        with pytest.raises(ResourceLimitError):
-            position_mi_fixed_inputs(make_krr(4, 1.0), tuple([1] * 9))
+    def test_bounded_by_twice_eps_at_larger_n(self):
+        # the paper's I(K; Z) <= 2 eps0, beyond the sizes enumeration reaches
+        from shuffleleak import ldp_epsilon
+        from oracles import random_bounded_ratio_kernel
+
+        rng = np.random.default_rng(47)
+        for n in (6, 12, 25, 50):
+            for _ in range(4):
+                r, eps = random_bounded_ratio_kernel(rng, n_in=4, n_out=3)
+                xs = tuple(int(x) for x in rng.integers(1, 5, size=n))
+                assert position_mi_fixed_inputs(r, xs) <= 2 * ldp_epsilon(r) + 1e-9
+
+    def test_dense_ceiling(self):
+        # n (n + 1)^3 work at k = 4: 9.66e6 at n = 55, 1.04e7 at n = 56
+        r = make_krr(4, 1.0)
+        for n, ok in ((55, True), (56, False)):
+            xs = tuple(1 + i % 4 for i in range(n))
+            calls = (lambda: position_mi_fixed_inputs(r, xs),
+                     lambda: input_mi_fixed_others(r, U4, xs[1:]))
+            for call in calls:
+                if ok:
+                    assert 0.0 < call() < math.log(n)
+                else:
+                    with pytest.raises(ResourceLimitError):
+                        call()
 
 
 class TestHistogramEngine:
@@ -422,11 +474,14 @@ class TestHistogramEngine:
 
     def test_ceiling_raises_before_allocating(self):
         tiny = ExactLimits(max_states=10)
+        many = (1,) * 50_000  # the fixed-input oracles read no row of these
         calls = (
             lambda: position_mi_exact(ZIPF, U4, 10**9, tiny),
             lambda: message_mi_exact(ZIPF, U4, 10**9, tiny),
             lambda: input_mi_iid_others(make_krr(4, 1.0), U4, 10**9, tiny),
             lambda: position_mi_fixed_inputs(make_krr(4, 1.0), (1,) * 5, tiny),
+            lambda: position_mi_fixed_inputs(make_krr(4, 1.0), many, tiny),
+            lambda: input_mi_fixed_others(make_krr(4, 1.0), U4, many, tiny),
         )
         for call in calls:
             tracemalloc.start()
@@ -439,8 +494,8 @@ class TestHistogramEngine:
             assert peak < 2**20
 
     def test_huge_state_count_message(self):
-        # permutation counts with tens of thousands of digits are reported
-        # as a power of ten instead of being formatted
+        # state counts of 10^15 and more are reported as a power of ten
+        # instead of being formatted
         with pytest.raises(ResourceLimitError, match=r"~10\^\d+ states"):
             position_mi_fixed_inputs(make_krr(5, 1.0), (1,) * 16384)
         with pytest.raises(ResourceLimitError, match=r"needs 4097 states"):
