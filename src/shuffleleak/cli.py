@@ -48,9 +48,10 @@ def main():
 @main.command()
 @click.option("--config", "config_path", required=True, type=click.Path())
 @click.option("--out", type=click.Path(), default=None, help="Write CSV here instead of stdout.")
-@click.option("--samples", type=int, default=None, help="Override Monte Carlo sample count.")
+@click.option("--samples", type=click.IntRange(min=1), default=None,
+              help="Override Monte Carlo sample count.")
 @click.option("--seed", type=int, default=None, help="Override the config seed.")
-@click.option("--workers", type=int, default=1, show_default=True)
+@click.option("--workers", type=click.IntRange(min=1), default=1, show_default=True)
 def run(config_path, out, samples, seed, workers):
     """Run one experiment config and emit a CSV table."""
     cfg = _load_config(config_path).with_overrides(samples=samples, seed=seed)
@@ -82,9 +83,9 @@ def validate(config_path):
 @main.command()
 @click.argument("name", type=click.Choice(["fig1", "fig2", "fig3"]))
 @click.option("--out", type=click.Path(), default=None)
-@click.option("--samples", type=int, default=None)
+@click.option("--samples", type=click.IntRange(min=1), default=None)
 @click.option("--seed", type=int, default=None)
-@click.option("--workers", type=int, default=1, show_default=True)
+@click.option("--workers", type=click.IntRange(min=1), default=1, show_default=True)
 def preset(name, out, samples, seed, workers):
     """Run a built-in experiment battery (fig1, fig2, or fig3)."""
     try:

@@ -1,9 +1,9 @@
 """Execute experiment configs into CSV rows, plus the built-in presets.
 
 Rows are computed independently (each Monte Carlo row owns a seed derived
-from the config seed and the row's position in the plan), buffered, and
-emitted in config order, so output bytes do not depend on the worker
-count.
+from the config seed and the row's position in the plan; other rows take
+no seed), buffered, and emitted in config order, so output bytes do not
+depend on the worker count.
 """
 
 from __future__ import annotations
@@ -105,7 +105,9 @@ def run_configs(configs: Sequence[ExperimentConfig], workers: int = 1) -> list[R
     for ci, cfg in enumerate(configs):
         for n in cfg.n_grid:
             for method in cell_methods(cfg):
-                tasks.append((cfg, n, method, _derive_seed(cfg.seed, ci, len(tasks))))
+                # only Monte Carlo rows use a seed; the index is the plan position
+                seed = _derive_seed(cfg.seed, ci, len(tasks)) if method == "mc" else 0
+                tasks.append((cfg, n, method, seed))
 
     def work(task):
         return compute_row(*task)
@@ -143,6 +145,9 @@ def to_csv(rows: Sequence[ResultRow]) -> str:
 _FIG1_GRID = (2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096)
 _FIG2_GRID = (16, 32, 64, 128, 256, 512, 1024)
 _FIG3_GRID = (16, 32, 64, 128, 256, 512, 1024)
+# six blocks: with the control variate, every fig2/fig3 Monte Carlo row has
+# no larger a stderr than the plain score at 10^5 samples
+PRESET_SAMPLES = 6 * montecarlo.BLOCK_SIZE
 
 
 def preset_configs(name: str, samples: int | None = None, seed: int | None = None):
@@ -153,6 +158,7 @@ def preset_configs(name: str, samples: int | None = None, seed: int | None = Non
     uniform, matched, and optimal covers (Monte Carlo vs expansions).
     fig3: 4-ary randomized response at eps0 = 1 with uniform inputs
     (Monte Carlo vs the mixed-signal rate and the DP-derived bounds).
+    Monte Carlo rows draw PRESET_SAMPLES unless ``samples`` is given.
     """
     zipf = make_zipf(4, 0.7)
     if name == "fig1":
@@ -188,5 +194,7 @@ def preset_configs(name: str, samples: int | None = None, seed: int | None = Non
         ]
     else:
         raise InvalidParameterError(f"unknown preset {name!r}")
+    if samples is None:
+        samples = PRESET_SAMPLES
     return [c.with_overrides(samples=samples, seed=seed) for c in cfgs]
 

@@ -19,7 +19,15 @@ from shuffleleak.config import (
     parse_config,
     validate_config,
 )
-from shuffleleak.runner import ResultRow, preset_configs, run_configs, to_csv
+from shuffleleak import montecarlo
+from shuffleleak.runner import (
+    PRESET_SAMPLES,
+    ResultRow,
+    _derive_seed,
+    preset_configs,
+    run_configs,
+    to_csv,
+)
 from shuffleleak import Categorical, make_krr, make_uniform, make_zipf
 
 
@@ -250,6 +258,35 @@ class TestRunner:
         exact_ns = [r.n for r in rows if r.method == "exact"]
         assert exact_ns == [4]
 
+    def test_row_seeds_reach_the_estimators(self, monkeypatch):
+        # only Monte Carlo rows derive a seed, from their position in the whole plan
+        seen = []
+
+        def recorder(name):
+            real = getattr(montecarlo, name)
+
+            def record(*args):
+                seen.append((name, args[2], args[4]))
+                return real(*args)
+
+            return record
+
+        for name in ("estimate_position_mi", "estimate_message_mi", "estimate_input_mi"):
+            monkeypatch.setattr(montecarlo, name, recorder(name))
+        configs = [
+            ExperimentConfig(quantity="IK", p=make_zipf(3, 0.7), q=make_uniform(3),
+                             n_grid=(4, 8), samples=100, seed=5, method="all"),
+            ExperimentConfig(mode="shuffle_dp", quantity="IX1", mechanism=make_krr(3, 1.0),
+                             n_grid=(4,), samples=100, seed=9, method="mc+bounds"),
+        ]
+        run_configs(configs, workers=2)
+        want = [
+            ("estimate_position_mi", 4, _derive_seed(5, 0, 1)),
+            ("estimate_position_mi", 8, _derive_seed(5, 0, 4)),
+            ("estimate_input_mi", 4, _derive_seed(9, 1, 6)),
+        ]
+        assert sorted(seen) == sorted(want)
+
     def test_dp_ik_rows(self):
         cfg = ExperimentConfig(
             mode="shuffle_dp", quantity="IK", mechanism=make_krr(2, 0.8),
@@ -280,6 +317,12 @@ class TestPresets:
         cfgs = preset_configs("fig2", samples=200)
         cases = {c.label for c in cfgs}
         assert cases == {"q_uniform_ik", "q_uniform_iy1", "q_matched_iy1", "q_optimal_iy1"}
+
+    def test_sample_count(self):
+        for name in ("fig2", "fig3"):
+            assert {c.samples for c in preset_configs(name)} == {PRESET_SAMPLES}
+            assert {c.samples for c in preset_configs(name, samples=300)} == {300}
+        assert PRESET_SAMPLES == 24_576
 
     def test_fig3_methods(self):
         rows = run_configs(preset_configs("fig3", samples=500))
@@ -369,6 +412,22 @@ class TestCli:
         r1 = CliRunner().invoke(main, ["run", "--config", str(cfg_path), "--seed", "1"])
         r2 = CliRunner().invoke(main, ["run", "--config", str(cfg_path), "--seed", "2"])
         assert r1.output != r2.output
+
+    @pytest.mark.parametrize("option", ["--samples", "--workers"])
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_run_nonpositive_count_exits_2(self, tmp_path, option, value):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(make_doc(samples=300)))
+        result = CliRunner().invoke(main, ["run", "--config", str(path), option, value])
+        assert result.exit_code == 2 and isinstance(result.exception, SystemExit)
+        assert f"Invalid value for '{option}'" in result.output
+
+    @pytest.mark.parametrize("option", ["--samples", "--workers"])
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_preset_nonpositive_count_exits_2(self, option, value):
+        result = CliRunner().invoke(main, ["preset", "fig2", option, value])
+        assert result.exit_code == 2 and isinstance(result.exception, SystemExit)
+        assert f"Invalid value for '{option}'" in result.output
 
     def test_preset_command(self, tmp_path):
         out = tmp_path / "fig1.csv"

@@ -26,12 +26,21 @@ from shuffleleak.montecarlo import (
     _block_rng,
     _block_scores,
     _blocks,
+    _control,
+    _draw,
     _estimate,
+    _quadratic,
     _score,
 )
+from shuffleleak.runner import preset_configs
 
 ZIPF = make_zipf(4, 0.7)
 U4 = make_uniform(4)
+
+
+def no_control(form):
+    """The zero control, under which a block holds the plain scores."""
+    return np.zeros((len(form.cover), len(form.cover)))
 
 
 def within(est, truth, slack=0.0):
@@ -153,34 +162,42 @@ class TestConsistency:
 
 class TestPerSampleStatistics:
     def test_position_stats_nonnegative(self):
-        stats = _block_scores(position_form(ZIPF, U4, 50), 50, _block_rng(11, 0), 4096)
+        form = position_form(ZIPF, U4, 50)
+        stats = _block_scores(form, 50, no_control(form), _block_rng(11, 0), 4096)
         assert stats.min() >= -1e-12
 
     def test_message_stats_nonnegative(self):
-        stats = _block_scores(message_form(ZIPF, U4, 50), 50, _block_rng(12, 0), 4096)
+        form = message_form(ZIPF, U4, 50)
+        stats = _block_scores(form, 50, no_control(form), _block_rng(12, 0), 4096)
         assert stats.min() >= -1e-12
 
     def test_input_stats_nonnegative(self):
         form = input_form(make_krr(4, 1.0), U4, 50)
-        stats = _block_scores(form, 50, _block_rng(13, 0), 4096)
+        stats = _block_scores(form, 50, no_control(form), _block_rng(13, 0), 4096)
         assert stats.min() >= -1e-12
 
     def test_stderr_definition(self):
+        # the estimate is the mean of score - control over the same draws,
+        # and the stderr their plug-in std / sqrt(samples)
         r = estimate_message_mi(ZIPF, U4, 8, samples=5000, seed=8)
         form = message_form(ZIPF, U4, 8)
-        chunks = [
-            _block_scores(form, 8, _block_rng(8, 0), 4096),
-            _block_scores(form, 8, _block_rng(8, 1), 904),
-        ]
-        stats = np.concatenate(chunks)
+        control = _control(form, 8)
+        stats = []
+        for block, size in [(0, 4096), (1, 904)]:
+            h = _draw(form, 8, _block_rng(8, block), size)
+            stats.append(_score(form, 8, h) - _quadratic(control, h))
+        stats = np.concatenate(stats)
         assert r.estimate == pytest.approx(stats.mean(), abs=1e-12)
         assert r.stderr == pytest.approx(stats.std(ddof=1) / math.sqrt(5000), rel=1e-9)
 
 
-def drawn_mean(form, n):
-    """Sum over every draw of its probability times its score, plus the
-    constant. A draw is the target's symbol j, with probability
-    target_j / sum(target), then each of the n - 1 covers in turn."""
+def drawn_mean(form, n, values=None):
+    """Sum over every draw of its probability times values(h), by default
+    its score plus the constant. A draw is the target's symbol j, with
+    probability target_j / sum(target), then each of the n - 1 covers in
+    turn."""
+    if values is None:
+        return drawn_mean(form, n, lambda h: _score(form, n, h)) + form.constant
     m = len(form.cover)
     seqs = np.array(list(itertools.product(range(m), repeat=n - 1)), dtype=np.int64)
     seqs = seqs.reshape(m ** (n - 1), n - 1)
@@ -191,8 +208,16 @@ def drawn_mean(form, n):
         h = covers.copy()
         h[j] += 1
         p_draw = form.target[j] / form.target.sum() * p_covers
-        terms.append(float(p_draw @ _score(form, n, h)))
-    return math.fsum(terms) + form.constant
+        terms.append(float(p_draw @ values(h)))
+    return math.fsum(terms)
+
+
+def control_mean(form, n):
+    """The control's mean under the draw law; the control must not be 0
+    where the design has room, or the check would be empty."""
+    control = _control(form, n)
+    assert control.any() or n == 1
+    return drawn_mean(form, n, lambda h: _quadratic(control, h))
 
 
 P3 = Categorical((1, 2, 3), (0.5, 0.3, 0.2))
@@ -214,6 +239,8 @@ class TestSharedForms:
         assert drawn_mean(message_form(p, q, n), n) == pytest.approx(
             message_mi_exact(p, q, n), abs=1e-12
         )
+        assert abs(control_mean(position_form(p, q, n), n)) <= 1e-12
+        assert abs(control_mean(message_form(p, q, n), n)) <= 1e-12
 
     @pytest.mark.parametrize("n", [1, 2, 5, 6])
     @pytest.mark.parametrize("r,prior", [(make_krr(4, 1.0), U4), (R_HIDDEN, PRIOR_GAP)])
@@ -221,6 +248,7 @@ class TestSharedForms:
         assert drawn_mean(input_form(r, prior, n), n) == pytest.approx(
             input_mi_iid_others(r, prior, n), abs=1e-12
         )
+        assert abs(control_mean(input_form(r, prior, n), n)) <= 1e-12
 
     def test_all_hidden_position_is_log_n(self):
         p = Categorical((1, 2), (0.5, 0.5))
@@ -237,6 +265,53 @@ class TestSharedForms:
         r = estimate_position_mi(p, q, 64, samples=5000, seed=5)
         assert r.estimate == pytest.approx(0.5 * math.log(64), abs=1e-12)
         assert r.stderr < 1e-12
+
+
+def preset_rows(n):
+    """(label, form, exact value) of every fig2/fig3 Monte Carlo row at n,
+    with the preset's config."""
+    for name in ("fig2", "fig3"):
+        for cfg in preset_configs(name):
+            if cfg.mode == "shuffle_only" and cfg.quantity == "IK":
+                yield cfg, position_form(cfg.p, cfg.cover, n), position_mi_exact(cfg.p, cfg.cover, n)
+            elif cfg.mode == "shuffle_only":
+                yield cfg, message_form(cfg.p, cfg.cover, n), message_mi_exact(cfg.p, cfg.cover, n)
+            else:
+                r, prior = cfg.mechanism, cfg.input_prior()
+                yield cfg, input_form(r, prior, n), input_mi_iid_others(r, prior, n)
+
+
+class TestControlVariate:
+    def test_preset_rows_beat_plain_stderr_at_n16(self):
+        # the presets draw a quarter of the samples the plain score needs
+        for cfg, form, _ in preset_rows(16):
+            assert cfg.samples < 100_000
+            control = _control(form, 16)
+            controlled = _estimate(
+                lambda rng, size: _block_scores(form, 16, control, rng, size), cfg.samples, 0
+            )
+            plain = _estimate(
+                lambda rng, size: _block_scores(form, 16, no_control(form), rng, size), 100_000, 0
+            )
+            assert controlled.stderr <= plain.stderr, cfg.label
+
+    @pytest.mark.parametrize("n", [4, 16])
+    def test_z_scores_against_exact(self, n):
+        # unbiased, and the plug-in stderr of the controlled scores is calibrated
+        for cfg, form, truth in preset_rows(n):
+            control = _control(form, n)
+            z = []
+            for seed in range(30):
+                est = _estimate(
+                    lambda rng, size: _block_scores(form, n, control, rng, size), BLOCK_SIZE, seed
+                )
+                z.append((est.estimate + form.constant - truth) / est.stderr)
+            assert abs(np.mean(z)) < 0.65 and 0.6 < np.std(z, ddof=1) < 1.5, (cfg.label, z)
+
+    def test_matched_channel_control_is_zero(self):
+        # the score is constant at every design point, so the control is exactly 0
+        assert not _control(position_form(ZIPF, ZIPF, 100), 100).any()
+        assert not _control(position_form(U4, U4, 100), 100).any()
 
 
 class TestStableVariance:
@@ -262,13 +337,15 @@ class TestBlockMemory:
     ], ids=["position", "message", "input"])
     def test_block_peak_is_bounded_by_the_histogram(self, form):
         # statistics run one symbol (or input) row at a time; a (symbols,
-        # rows) float temporary per step used to take a block to 700-800 KiB
-        _block_scores(form, 1024, _block_rng(0, 0), BLOCK_SIZE)  # first-call set-up is not counted
-        tracemalloc.start()
-        try:
-            _block_scores(form, 1024, _block_rng(0, 1), BLOCK_SIZE)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        # rows) float temporary per step used to take a block to 700-800 KiB.
+        # The control's one (rows, symbols) product follows the statistic.
         histogram = 4 * BLOCK_SIZE * 8  # the block's (symbols, rows) int64 counts
-        assert peak < 3.5 * histogram
+        for control in (no_control(form), _control(form, 1024)):
+            _block_scores(form, 1024, control, _block_rng(0, 0), BLOCK_SIZE)  # first-call set-up is not counted
+            tracemalloc.start()
+            try:
+                _block_scores(form, 1024, control, _block_rng(0, 1), BLOCK_SIZE)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 3.5 * histogram
