@@ -13,11 +13,14 @@ so the only error is statistical; the hidden part is added exactly.
 
 Each score has a control variate subtracted: a quadratic in h whose mean
 under the draw law is exactly 0, with coefficients from central
-differences of the score at the histogram's mean (``_control``). The
-estimate stays unbiased, with no fit to the draws, and its variance falls
-5-300x at n = 16 and 400-1.6e5x at n = 1024 for the fig2/fig3 rows. The
-reported standard error is the plug-in std of the controlled scores /
-sqrt(samples).
+differences of the score at the histogram's mean (``_control``). Each
+half of a block keeps the control only where it lowers the variance of
+the other half's scores (``_block_scores``), so a control that misses
+the score's tails is dropped, and since the choice never reads the
+half's own draws the estimate stays unbiased, with no fit. The variance
+falls 5-300x at n = 16 and 400-1.6e5x at n = 1024 for the fig2/fig3
+rows. The reported standard error is the plug-in std of the controlled
+scores / sqrt(samples).
 
 A block holds one (symbols, rows) float histogram, converted once from
 the integer draw, and the statistics work one symbol (or input) row at a
@@ -29,15 +32,15 @@ thousands of page faults per preset battery.
 
 Determinism contract: samples are organized into fixed-size blocks and the
 randomness of block b derives from a counter-based Philox stream keyed by
-(seed, b). The control depends on the form and n only. Partial sums are
-reduced with exact float summation and the per-block variances are merged
-in block order, so results are bit-identical however the blocks are
-scheduled.
+(seed, b). The control depends on the form and n only, and each half's
+choice to use it depends only on the other half's draws. Partial sums
+are reduced with exact float summation and the per-block variances are
+merged in block order, so results are bit-identical however the blocks
+are scheduled.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -49,6 +52,7 @@ from .mechanisms import Randomizer
 from .probability import Categorical
 
 BLOCK_SIZE = 4096
+MIN_STEP = 0.125  # smallest design step of the control, in counts
 
 _MASK64 = (1 << 64) - 1
 
@@ -105,23 +109,6 @@ def _score(form: HistogramForm, n: int, h: np.ndarray) -> np.ndarray:
     return form.target.sum() * form.statistic(h) / lr
 
 
-@functools.lru_cache(maxsize=16)
-def _design(d: int) -> tuple[tuple[tuple[int, int], ...], np.ndarray]:
-    """Central differences in d coordinates at unit steps: the pairs
-    a > b, and the (d, points) offsets of the design. The points are the
-    center, +1 and -1 on each axis, then the corners of all pairs for each
-    sign pattern in turn: +a+b, +a-b, -a+b, -a-b."""
-    pairs = tuple((a, b) for a in range(d) for b in range(a))
-    a, b = np.array(pairs, dtype=int).reshape(-1, 2).T
-    eye = np.eye(d)
-    offsets = np.concatenate([
-        np.zeros((1, d)), eye, -eye,
-        eye[a] + eye[b], eye[a] - eye[b], eye[b] - eye[a], -eye[a] - eye[b],
-    ]).T
-    offsets.flags.writeable = False  # shared by every caller
-    return pairs, offsets
-
-
 def _control(form: HistogramForm, n: int) -> np.ndarray:
     """The quadratic control variate of the form's score at population n,
     as the matrix A of control(h) = h'Ah.
@@ -137,8 +124,8 @@ def _control(form: HistogramForm, n: int) -> np.ndarray:
     dyadic grid, so its counts sum to n exactly and a score that is
     constant there (position leakage on a matched channel) gets
     g = H = 0. Every drawn histogram sums to n, so the linear and
-    constant terms fold into A. Without an interior design the control
-    is 0.
+    constant terms fold into A. The control is 0 when m = 1 or when a
+    positive design needs a step below MIN_STEP counts.
     """
     m = len(form.cover)
     d = m - 1
@@ -157,20 +144,37 @@ def _control(form: HistogramForm, n: int) -> np.ndarray:
         round(math.sqrt((n - 1) * x * (1 - x) + t * (1 - t)) / quantum) * quantum
         for x, t in zip(c, tau)
     ]
-    if min(step) <= 0:  # a count that never varies
-        return quad
-    # the lowest design count of symbol a < d is center_a - step_a; the
-    # last symbol's is n - sum(center) less the two largest steps
+    # halve the steps until every design point is positive; the lowest
+    # design count of symbol a < d is center_a - step_a, the last symbol's
+    # is n - sum(center) less the two largest steps. A step below
+    # MIN_STEP would probe the score's curvature on a scale far finer
+    # than the integer counts the draws take (a rare symbol's h log h
+    # term), and the control would rest on the rare draws that reach it
     last = n - sum(center)
-    for _ in range(53):
-        if min(x - s for x, s in zip(center, step)) > 0 and last > sum(sorted(step)[-2:]):
-            break
+    while min(step) >= MIN_STEP and (
+        min(x - s for x, s in zip(center, step)) <= 0 or last <= sum(sorted(step)[-2:])
+    ):
         step = [s / 2 for s in step]
-    else:
+    if min(step) < MIN_STEP:  # also a count that never varies
         return quad
-    pairs, offsets = _design(d)
-    points = np.empty((m, offsets.shape[1]))
-    points[:d] = np.array(center)[:, None] + np.array(step)[:, None] * offsets
+    # the design: the center, +step and -step on each axis, then the
+    # corners of the pairs a > b for each sign pattern in turn: +a+b,
+    # +a-b, -a+b, -a-b; the last symbol takes what the others leave of n
+    pairs = [(a, b) for a in range(d) for b in range(a)]
+    columns = [center]
+    for sign in (1, -1):
+        for a in range(d):
+            column = center.copy()
+            column[a] += sign * step[a]
+            columns.append(column)
+    for sa, sb in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+        for a, b in pairs:
+            column = center.copy()
+            column[a] += sa * step[a]
+            column[b] += sb * step[b]
+            columns.append(column)
+    points = np.empty((m, len(columns)))
+    points[:d] = np.array(columns).T
     points[d] = n - points[:d].sum(axis=0)
     f = np.concatenate([
         _score(form, n, points[:, i : i + CHUNK_ROWS])
@@ -217,12 +221,33 @@ def _quadratic(a: np.ndarray, h: np.ndarray) -> np.ndarray:
     return quad @ np.ones(len(a))
 
 
+def _lowers_spread(scores: np.ndarray, ctl: np.ndarray) -> bool:
+    """Whether subtracting the control lowers the sample variance of the
+    scores: var(c) < 2 cov(score, c)."""
+    if len(ctl) < 2:
+        return False
+    ctl = ctl - ctl.mean()
+    return float(ctl @ ctl) < 2 * float(ctl @ scores)
+
+
 def _block_scores(
     form: HistogramForm, n: int, control: np.ndarray, rng: np.random.Generator, size: int
 ) -> np.ndarray:
-    """Scores minus the control h'Ah of one block."""
+    """Scores of one block less the control h'Ah. Each half of the block
+    subtracts it only where it lowers the spread of the other half: a
+    choice independent of the half's own draws, so the control's mean
+    there stays 0."""
     h = _draw(form, n, rng, size)
-    return _score(form, n, h) - _quadratic(control, h)
+    scores = _score(form, n, h)
+    ctl = _quadratic(control, h)
+    half = size // 2
+    first = _lowers_spread(scores[half:], ctl[half:])
+    second = _lowers_spread(scores[:half], ctl[:half])
+    if first:
+        scores[:half] -= ctl[:half]
+    if second:
+        scores[half:] -= ctl[half:]
+    return scores
 
 
 def _sample(form: HistogramForm, n: int, samples: int, seed: int) -> EstimatorResult:

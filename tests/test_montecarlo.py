@@ -20,6 +20,7 @@ from shuffleleak import (
     message_mi_exact,
     position_mi_exact,
 )
+from shuffleleak import montecarlo
 from shuffleleak.exact import input_form, message_form, position_form
 from shuffleleak.montecarlo import (
     BLOCK_SIZE,
@@ -177,15 +178,22 @@ class TestPerSampleStatistics:
         assert stats.min() >= -1e-12
 
     def test_stderr_definition(self):
-        # the estimate is the mean of score - control over the same draws,
-        # and the stderr their plug-in std / sqrt(samples)
+        # the estimate is the mean of the block scores over the same draws,
+        # where each half of a block subtracts the control if that lowers
+        # the other half's variance, and the stderr is their plug-in std /
+        # sqrt(samples)
         r = estimate_message_mi(ZIPF, U4, 8, samples=5000, seed=8)
         form = message_form(ZIPF, U4, 8)
         control = _control(form, 8)
+        assert control.any()
         stats = []
         for block, size in [(0, 4096), (1, 904)]:
             h = _draw(form, 8, _block_rng(8, block), size)
-            stats.append(_score(form, 8, h) - _quadratic(control, h))
+            score, ctl = _score(form, 8, h), np.einsum("ar,ab,br->r", h, control, h)
+            for mine, other in [(slice(0, size // 2), slice(size // 2, size)),
+                                (slice(size // 2, size), slice(0, size // 2))]:
+                use = np.var(score[other] - ctl[other]) < np.var(score[other])
+                stats.append(score[mine] - use * ctl[mine])
         stats = np.concatenate(stats)
         assert r.estimate == pytest.approx(stats.mean(), abs=1e-12)
         assert r.stderr == pytest.approx(stats.std(ddof=1) / math.sqrt(5000), rel=1e-9)
@@ -213,9 +221,12 @@ def drawn_mean(form, n, values=None):
 
 
 def control_mean(form, n):
-    """The control's mean under the draw law; the control must not be 0
-    where the design has room, or the check would be empty."""
-    control = _control(form, n)
+    """The control's mean under the draw law, with design steps allowed
+    below MIN_STEP: the mean is 0 for any step, and the control must not
+    be 0 where the design has room, or the check would be empty."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(montecarlo, "MIN_STEP", 2.0 ** -20)
+        control = _control(form, n)
     assert control.any() or n == 1
     return drawn_mean(form, n, lambda h: _quadratic(control, h))
 
@@ -313,6 +324,61 @@ class TestControlVariate:
         assert not _control(position_form(ZIPF, ZIPF, 100), 100).any()
         assert not _control(position_form(U4, U4, 100), 100).any()
 
+    @pytest.mark.parametrize("n", [4, 16])
+    def test_rare_symbol_gets_no_control(self, n):
+        # symbol 3's mean count is about 1e-5 n, so a positive design would
+        # need steps far below one count, where the score's curvature has
+        # nothing to do with the integer counts the draws take
+        p = Categorical((1, 2, 3), (0.6, 0.39999, 1e-5))
+        form, truth = message_form(p, p, n), message_mi_exact(p, p, n)
+        control = _control(form, n)
+        assert not control.any()
+        z = []
+        for seed in range(30):
+            est = _estimate(
+                lambda rng, size: _block_scores(form, n, control, rng, size), BLOCK_SIZE, seed
+            )
+            plain = _estimate(
+                lambda rng, size: _block_scores(form, n, no_control(form), rng, size),
+                BLOCK_SIZE, seed,
+            )
+            assert est.stderr <= plain.stderr
+            z.append((est.estimate + form.constant - truth) / est.stderr)
+        assert abs(np.mean(z)) < 0.65 and 0.5 < np.std(z, ddof=1) < 1.5, z
+
+    def test_each_half_is_chosen_from_the_other(self, monkeypatch):
+        # a half's choice must not read its own draws, or the control's mean
+        # there would no longer be 0
+        form = message_form(ZIPF, U4, 16)
+        control = _control(form, 16)
+        h = _draw(form, 16, _block_rng(5, 0), 1000)
+        score, ctl = _score(form, 16, h), _quadratic(control, h)
+        seen = []
+
+        def first_only(scores, ctl):
+            seen.append(scores.copy())
+            return len(seen) == 1
+
+        monkeypatch.setattr(montecarlo, "_lowers_spread", first_only)
+        block = _block_scores(form, 16, control, _block_rng(5, 0), 1000)
+        assert np.array_equal(seen[0], score[500:]) and np.array_equal(seen[1], score[:500])
+        assert np.array_equal(block[:500], score[:500] - ctl[:500])
+        assert np.array_equal(block[500:], score[500:])
+
+    @pytest.mark.parametrize("n", [32, 64])
+    def test_a_control_that_adds_spread_is_dropped(self, n):
+        # the target's likeliest symbol is the cover's rarest: the quadratic
+        # misses the score's tails and would raise the variance 1.6-50x
+        p = Categorical((1, 2, 3), (0.15, 0.25, 0.6))
+        q = Categorical((1, 2, 3), (0.3, 0.65, 0.05))
+        form = message_form(p, q, n)
+        control = _control(form, n)
+        h = _draw(form, n, _block_rng(0, 0), BLOCK_SIZE)
+        score = _score(form, n, h)
+        assert np.var(score - _quadratic(control, h)) > 1.5 * np.var(score)
+        block = _block_scores(form, n, control, _block_rng(0, 0), BLOCK_SIZE)
+        assert np.var(block) <= np.var(score)
+
 
 class TestStableVariance:
     def test_offset_statistic_keeps_its_spread(self):
@@ -339,7 +405,7 @@ class TestBlockMemory:
         # statistics run one symbol (or input) row at a time; a (symbols,
         # rows) float temporary per step used to take a block to 700-800 KiB.
         # The control's one (rows, symbols) product follows the statistic.
-        histogram = 4 * BLOCK_SIZE * 8  # the block's (symbols, rows) int64 counts
+        histogram = 4 * BLOCK_SIZE * 8  # the block's (symbols, rows) float64 histogram
         for control in (no_control(form), _control(form, 1024)):
             _block_scores(form, 1024, control, _block_rng(0, 0), BLOCK_SIZE)  # first-call set-up is not counted
             tracemalloc.start()
