@@ -16,28 +16,26 @@ from .errors import ResourceLimitError
 from .runner import preset_configs, run_configs, to_csv
 
 
-def _load_config(path: str):
+def _parse_file(path: str):
     try:
         doc = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         click.echo(f"config error: {exc}", err=True)
         sys.exit(2)
-    cfg, diags = parse_config(doc)
-    # resource-limit findings are advisory here: the oracle raises at run
-    # time and the command exits 3, matching the documented exit codes
-    blocking = [d for d in diags if "resource-limit" not in d.message]
-    if blocking:
-        for d in blocking:
-            click.echo(str(d), err=True)
-        sys.exit(2)
-    return cfg
+    return parse_config(doc)
 
 
-def _emit(csv_text: str, out: str | None) -> None:
+def _run_and_emit(configs, workers: int, out: str | None) -> None:
+    try:
+        rows = run_configs(configs, workers=workers)
+    except ResourceLimitError as exc:
+        click.echo(f"resource limit: {exc}", err=True)
+        sys.exit(3)
+    text = to_csv(rows)
     if out is None:
-        click.echo(csv_text, nl=False)
+        click.echo(text, nl=False)
     else:
-        Path(out).write_text(csv_text)
+        Path(out).write_text(text)
 
 
 @click.group()
@@ -54,25 +52,22 @@ def main():
 @click.option("--workers", type=click.IntRange(min=1), default=1, show_default=True)
 def run(config_path, out, samples, seed, workers):
     """Run one experiment config and emit a CSV table."""
-    cfg = _load_config(config_path).with_overrides(samples=samples, seed=seed)
-    try:
-        rows = run_configs([cfg], workers=workers)
-    except ResourceLimitError as exc:
-        click.echo(f"resource limit: {exc}", err=True)
-        sys.exit(3)
-    _emit(to_csv(rows), out)
+    cfg, diags = _parse_file(config_path)
+    # resource-limit findings are advisory here: the oracle raises at run
+    # time and the command exits 3, matching the documented exit codes
+    blocking = [d for d in diags if "resource-limit" not in d.message]
+    if blocking:
+        for d in blocking:
+            click.echo(str(d), err=True)
+        sys.exit(2)
+    _run_and_emit([cfg.with_overrides(samples=samples, seed=seed)], workers, out)
 
 
 @main.command()
 @click.option("--config", "config_path", required=True, type=click.Path())
 def validate(config_path):
     """Check a config; print one diagnostic per problem."""
-    try:
-        doc = json.loads(Path(config_path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        click.echo(f"config error: {exc}", err=True)
-        sys.exit(2)
-    _, diags = parse_config(doc)
+    _, diags = _parse_file(config_path)
     if diags:
         for d in diags:
             click.echo(str(d))
@@ -88,12 +83,7 @@ def validate(config_path):
 @click.option("--workers", type=click.IntRange(min=1), default=1, show_default=True)
 def preset(name, out, samples, seed, workers):
     """Run a built-in experiment battery (fig1, fig2, or fig3)."""
-    try:
-        rows = run_configs(preset_configs(name, samples, seed), workers=workers)
-    except ResourceLimitError as exc:
-        click.echo(f"resource limit: {exc}", err=True)
-        sys.exit(3)
-    _emit(to_csv(rows), out)
+    _run_and_emit(preset_configs(name, samples, seed), workers, out)
 
 
 if __name__ == "__main__":

@@ -26,6 +26,7 @@ from .exact import (
     states_shuffle_only,
 )
 from .mechanisms import Randomizer, make_krr
+from .montecarlo import DEFAULT_SAMPLES
 from .probability import Categorical, make_uniform, make_zipf
 
 MODES = ("shuffle_only", "shuffle_dp")
@@ -68,7 +69,7 @@ class ExperimentConfig:
     prior: Categorical | None = None  # None means uniform over mechanism inputs
     x_inputs: tuple | None = None  # None means cycle through mechanism inputs
     n_grid: tuple = ()
-    samples: int = 100_000
+    samples: int = DEFAULT_SAMPLES
     seed: int = 0
     method: str = "all"
     label: str = ""
@@ -197,6 +198,9 @@ def parse_config(doc) -> tuple[ExperimentConfig | None, list[Diagnostic]]:
         diags.append(Diagnostic("quantity", f"must be one of {QUANTITIES}"))
 
     p = q = mechanism = prior = None
+    for key in ("P", "Q"):
+        if key in doc and key.lower() in doc:
+            diags.append(Diagnostic(key.lower(), f"given together with {key}"))
     if "P" in doc or "p" in doc:
         p = parse_distribution(doc.get("P", doc.get("p")), "P", diags)
     if "Q" in doc or "q" in doc:
@@ -215,7 +219,7 @@ def parse_config(doc) -> tuple[ExperimentConfig | None, list[Diagnostic]]:
         diags.append(Diagnostic("n_grid", "must be a nonempty list of positive integers"))
         n_grid = [n for n in n_grid if _is_int(n) and n >= 1] if isinstance(n_grid, list) else []
 
-    samples = doc.get("samples", 100_000)
+    samples = doc.get("samples", DEFAULT_SAMPLES)
     if not _is_int(samples) or samples < 1:
         diags.append(Diagnostic("samples", "must be a positive integer"))
         samples = max(1, samples if _is_int(samples) else 1)

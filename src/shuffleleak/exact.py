@@ -14,28 +14,31 @@ raises before anything is allocated:
   of q and S = h . w, the statistics are
 
   - position: sum_j (h_j w_j / n) log(n w_j / S), plus p(hidden) log n;
-  - message: sum_j (h_j w_j / n) log(h_j w_j / (S p_j)), plus
-    -p_a log p_a for every symbol a the cover hides;
-  - input: sum_x prior_x t_x log t_x, with
-    t_x = sum_y K[x, y] h_y / (n marginal_y).
+  - message and input, one signal statistic: for a signal x ~ px sent
+    through a kernel K, sum_x px_x t_x log(t_x / mix), with
+    t_x = sum_y K[x, y] h_y / (n cover_y) and mix = sum_x px_x t_x. The
+    message is the target's visible symbol through the identity kernel
+    (t_j = h_j / (n q_j), mix = S / n), plus -p_a log p_a for every
+    symbol a the cover hides; the input goes through the randomizer's
+    kernel, and its cover is the output marginal.
 
   Every logarithm is of a ratio built from counts and the fixed p, q or
   kernel, never of an enumerated probability, so underflow in the tail
-  of the law cannot make a value infinite. The message and input
-  statistics work one symbol (or input) row at a time, so a chunk never
-  builds a (symbols, rows) float array. At m = 4 the default ceiling of
-  10^7 states binds before time does: n = 224 for the two-distribution
-  oracles and n = 208 for i.i.d. input, each in about 0.15-0.25 s on one
-  core.
+  of the law cannot make a value infinite. The signal statistic works
+  one signal row at a time, so a chunk never builds a (signals, rows)
+  float array. At m = 4 the default ceiling of 10^7 states binds before
+  time does: n = 224 for the two-distribution oracles and n = 208 for
+  i.i.d. input, each in about 0.15-0.25 s on one core.
 - A dense driver for a target row among other users whose rows differ
   (fixed inputs, heterogeneous covers). It convolves the other rows into
   the law of their counts on the (n + 1)^(k - 1) count grid and returns
   it shifted by each target message a, s[a](h) = P_others(h - e_a). Two
-  statistics read it: input leakage mixes the shifts through the
-  target's kernel rows, and position leakage with fixed inputs weighs
-  them by the target's row, t_a = R[x_1, a] s[a], with the position
-  posterior proportional to t_a / h_a. Its work is n (n + 1)^(k - 1):
-  at k = 4 the default ceiling allows n = 55.
+  statistics read it: input leakage takes the signal statistic of the
+  shifts mixed through the target's kernel rows, and position leakage
+  with fixed inputs weighs them by the target's row,
+  t_a = R[x_1, a] s[a], with the position posterior proportional to
+  t_a / h_a. Its work is n (n + 1)^(k - 1): at k = 4 the default ceiling
+  allows n = 55.
 
 Finite-n closed forms built from binomial expectations stay exact at any
 n and need no ceiling. Their Bin(n, p) pmf is built in numpy from the
@@ -237,28 +240,40 @@ def position_form(p: Categorical, q: Categorical, n: int) -> HistogramForm:
     return HistogramForm(cover, target, statistic, math.fsum(hidden) * math.log(n))
 
 
-def message_form(p: Categorical, q: Categorical, n: int) -> HistogramForm:
-    """Message leakage of the two-distribution channel as a histogram form.
+def _signal_divergence(px: np.ndarray, rows: Iterable[np.ndarray], mix: np.ndarray) -> np.ndarray:
+    """sum_x px_x t_x log(t_x / mix) per histogram: the divergence of a
+    signal's posterior from its prior, for the likelihood ratios t_x that
+    ``rows`` yields one signal at a time and their mixture
+    mix = sum_x px_x t_x. Terms with t_x = 0 are 0, so all are where mix = 0."""
+    safe_mix = _or_one(mix)
+    total = np.zeros(mix.shape)
+    for p, t in zip(px, rows):
+        total += p * t * np.log(_or_one(t) / safe_mix)
+    return total
 
-    The statistic is written through the posterior h_j w_j / S, so a
-    target that is sure of its message scores exactly 0.
-    """
-    target, cover, hidden = _visible_split(p, q, n)
-    w = target / cover
-    sent = np.flatnonzero(target)  # the symbols with a nonzero term
-    hidden = hidden[hidden > 0]
+
+def _signal_form(px, ratio, cover, target, constant: float) -> HistogramForm:
+    """Leakage of a signal x ~ px as a histogram form: t_x(h) = ratio[x] . h,
+    with ratio[x] = K[x] / (n cover) for the kernel K that sends x to the
+    target's message."""
+    mix_row = px @ ratio
 
     def statistic(h):
-        # one symbol row at a time, so no (symbols, rows) float array is built
-        s = sum(h[j] * w[j] for j in range(len(w)))
-        safe_s = _or_one(s)
-        total = np.zeros(h.shape[1])
-        for j in sent:
-            hw = h[j] * w[j]
-            total += hw * np.log(np.where(hw > 0, hw / (safe_s * target[j]), 1.0))
-        return total / n
+        # one signal row at a time, so no (signals, rows) float array is built
+        return _signal_divergence(px, (r @ h for r in ratio), mix_row @ h)
 
-    return HistogramForm(cover, target, statistic, -math.fsum(hidden * np.log(hidden)))
+    return HistogramForm(cover, target, statistic, constant)
+
+
+def message_form(p: Categorical, q: Categorical, n: int) -> HistogramForm:
+    """Message leakage of the two-distribution channel as a histogram form:
+    the signal is the target's visible message, sent through the identity
+    kernel, so a target that is sure of its message scores exactly 0."""
+    target, cover, hidden = _visible_split(p, q, n)
+    sent = np.flatnonzero(target)
+    hidden = hidden[hidden > 0]
+    ratio = np.eye(len(cover))[sent] / (n * cover)
+    return _signal_form(target[sent], ratio, cover, target, -math.fsum(hidden * np.log(hidden)))
 
 
 def _prior_vector(prior: Categorical, input_labels: tuple) -> np.ndarray:
@@ -270,7 +285,8 @@ def _prior_vector(prior: Categorical, input_labels: tuple) -> np.ndarray:
 
 
 def input_form(r: Randomizer, prior: Categorical, n: int) -> HistogramForm:
-    """Input leakage with i.i.d. inputs as a histogram form; the target's
+    """Input leakage with i.i.d. inputs as a histogram form: the target's
+    input is a signal sent through the randomizer's kernel. The target's
     output follows the output marginal too, so ``target`` is the cover."""
     if n < 1:
         raise InvalidParameterError("n must be at least 1")
@@ -278,19 +294,9 @@ def input_form(r: Randomizer, prior: Categorical, n: int) -> HistogramForm:
     marginal = prior_vec @ r.kernel
     seen = marginal > 0
     cover = marginal[seen]
-    px = prior_vec[prior_vec > 0]
-    # ratio[x, y] = K[x, y] / (n cover_y) over the inputs x with prior mass
-    ratio = r.kernel[prior_vec > 0][:, seen] / (n * cover)
-
-    def statistic(h):
-        # one input row at a time, so no (inputs, rows) float array is built
-        total = np.zeros(h.shape[1])
-        for x in range(len(px)):
-            t = ratio[x] @ h
-            total += px[x] * t * np.log(_or_one(t))
-        return total
-
-    return HistogramForm(cover, cover, statistic, 0.0)
+    sent = prior_vec > 0
+    ratio = r.kernel[sent][:, seen] / (n * cover)
+    return _signal_form(prior_vec[sent], ratio, cover, cover, 0.0)
 
 
 def position_mi_exact(
@@ -356,17 +362,10 @@ def matched_message_mi(p: Categorical, n: int) -> float:
 
     Closed form via binomial expectations,
     sum_i E[(X/n) log(X/n)] - p_i log p_i with X ~ Bin(n, p_i),
-    valid at every finite n (no asymptotics, no enumeration ceiling).
+    valid at every finite n (no asymptotics, no enumeration ceiling). It is
+    the message-minus-position gap at q = p, where position leakage is 0.
     """
-    if n < 1:
-        raise InvalidParameterError("n must be at least 1")
-    terms = []
-    for pi in p.probs:
-        pi = float(pi)
-        if pi == 0.0:
-            continue
-        terms.append(_binom_xlogx(n, pi) - pi * math.log(pi))
-    return math.fsum(terms)
+    return message_minus_position_mi(p, p, n)
 
 
 def message_minus_position_mi(p: Categorical, q: Categorical, n: int) -> float:
@@ -444,9 +443,9 @@ def _input_mi_hist(
     seen = prior_vec > 0
     px = prior_vec[seen]
     lx = signal_rows[seen] @ s
-    ratio = lx / _or_one(lx.max(axis=0))
-    ratio /= _or_one(px @ ratio)  # P(h | x) / P(h)
-    return float(px @ (lx * np.log(_or_one(ratio))).sum(axis=1))
+    top = lx.max(axis=0)
+    rows = lx / _or_one(top)
+    return float(top @ _signal_divergence(px, rows, px @ rows))
 
 
 def input_mi_fixed_others(

@@ -52,6 +52,7 @@ from .mechanisms import Randomizer
 from .probability import Categorical
 
 BLOCK_SIZE = 4096
+DEFAULT_SAMPLES = 100_000  # samples per estimate when a config or call gives none
 MIN_STEP = 0.125  # smallest design step of the control, in counts
 
 _MASK64 = (1 << 64) - 1
@@ -265,14 +266,14 @@ def _sample(form: HistogramForm, n: int, samples: int, seed: int) -> EstimatorRe
 
 
 def estimate_position_mi(
-    p: Categorical, q: Categorical, n: int, samples: int = 100_000, seed: int = 0
+    p: Categorical, q: Categorical, n: int, samples: int = DEFAULT_SAMPLES, seed: int = 0
 ) -> EstimatorResult:
     """Monte Carlo position leakage for the two-distribution channel."""
     return _sample(position_form(p, q, n), n, samples, seed)
 
 
 def estimate_message_mi(
-    p: Categorical, q: Categorical, n: int, samples: int = 100_000, seed: int = 0
+    p: Categorical, q: Categorical, n: int, samples: int = DEFAULT_SAMPLES, seed: int = 0
 ) -> EstimatorResult:
     """Monte Carlo message leakage for the two-distribution channel."""
     return _sample(message_form(p, q, n), n, samples, seed)
@@ -282,7 +283,7 @@ def estimate_input_mi(
     r: Randomizer,
     prior: Categorical,
     n: int,
-    samples: int = 100_000,
+    samples: int = DEFAULT_SAMPLES,
     seed: int = 0,
 ) -> EstimatorResult:
     """Monte Carlo input leakage with all users' inputs i.i.d. from ``prior``."""

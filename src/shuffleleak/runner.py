@@ -143,8 +143,7 @@ def to_csv(rows: Sequence[ResultRow]) -> str:
 
 
 _FIG1_GRID = (2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096)
-_FIG2_GRID = (16, 32, 64, 128, 256, 512, 1024)
-_FIG3_GRID = (16, 32, 64, 128, 256, 512, 1024)
+_MC_GRID = (16, 32, 64, 128, 256, 512, 1024)  # the fig2 and fig3 populations
 # six blocks: with the control variate, every fig2/fig3 Monte Carlo row has
 # no larger a stderr than the plain score at 10^5 samples
 PRESET_SAMPLES = 6 * montecarlo.BLOCK_SIZE
@@ -176,20 +175,20 @@ def preset_configs(name: str, samples: int | None = None, seed: int | None = Non
         uniform = make_uniform(4)
         optimal = asym.optimal_cover(zipf)
         cfgs = [
-            ExperimentConfig(quantity="IK", p=zipf, q=uniform, n_grid=_FIG2_GRID,
+            ExperimentConfig(quantity="IK", p=zipf, q=uniform, n_grid=_MC_GRID,
                              method="mc+asym", label="q_uniform_ik"),
-            ExperimentConfig(quantity="IY1", p=zipf, q=uniform, n_grid=_FIG2_GRID,
+            ExperimentConfig(quantity="IY1", p=zipf, q=uniform, n_grid=_MC_GRID,
                              method="mc+asym", label="q_uniform_iy1"),
-            ExperimentConfig(quantity="IY1", p=zipf, n_grid=_FIG2_GRID,
+            ExperimentConfig(quantity="IY1", p=zipf, n_grid=_MC_GRID,
                              method="mc+asym", label="q_matched_iy1"),
-            ExperimentConfig(quantity="IY1", p=zipf, q=optimal, n_grid=_FIG2_GRID,
+            ExperimentConfig(quantity="IY1", p=zipf, q=optimal, n_grid=_MC_GRID,
                              method="mc+asym", label="q_optimal_iy1"),
         ]
     elif name == "fig3":
         cfgs = [
             ExperimentConfig(
                 mode="shuffle_dp", quantity="IX1", mechanism=make_krr(4, 1.0),
-                n_grid=_FIG3_GRID, method="mc+asym+bounds", label="krr4_eps1",
+                n_grid=_MC_GRID, method="mc+asym+bounds", label="krr4_eps1",
             ),
         ]
     else:

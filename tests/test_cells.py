@@ -156,6 +156,14 @@ class TestOneDiagnosticPerLiteral:
         assert [d.field for d in diags] == ["P"]
         assert "requires" not in diags[0].message
 
+    @pytest.mark.parametrize("key", ["P", "Q"])
+    def test_both_spellings_of_a_literal(self, key):
+        # the uppercase literal used to win silently over its lowercase alias
+        doc = {"P": UNIFORM4, "n_grid": [4], "method": "exact",
+               key: {"type": "uniform", "m": 2}, key.lower(): {"type": "uniform", "m": 3}}
+        _, diags = parse_config(doc)
+        assert [str(d) for d in diags] == [f"{key.lower()}: given together with {key}"]
+
     def test_missing_literals_are_still_required(self):
         _, diags = parse_config({"mode": "shuffle_only", "quantity": "IY1", "n_grid": [4]})
         assert [str(d) for d in diags] == ["P: shuffle_only requires a target distribution"]

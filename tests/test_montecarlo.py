@@ -12,6 +12,7 @@ from shuffleleak import (
     estimate_input_mi,
     estimate_message_mi,
     estimate_position_mi,
+    input_mi_fixed_others,
     input_mi_iid_others,
     make_krr,
     make_uniform,
@@ -84,6 +85,18 @@ class TestDegenerate:
         p = Categorical((1, 2), (1.0, 0.0))
         r = estimate_message_mi(p, make_uniform(2), 20, samples=4000, seed=3)
         assert r.estimate == 0.0
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 40])
+    def test_sure_input_leaks_exactly_zero(self, n):
+        # the divergence mixes its own likelihood ratios, so a point-mass
+        # prior gives a posterior equal to its prior, not rounding off 1
+        r = make_krr(3, 0.8)
+        prior = Categorical(r.input_labels, (0.0, 0.0, 1.0))
+        assert input_mi_iid_others(r, prior, n) == 0.0
+        others = tuple(itertools.islice(itertools.cycle(r.input_labels), n - 1))
+        assert input_mi_fixed_others(r, prior, others) == 0.0
+        est = estimate_input_mi(r, prior, n, samples=5000, seed=1)
+        assert (est.estimate, est.stderr) == (0.0, 0.0)
 
     def test_constant_rows_input_zero(self):
         from shuffleleak import Randomizer
