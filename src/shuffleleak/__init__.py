@@ -36,7 +36,6 @@ from .exact import (
     matched_message_mi,
     message_mi_exact,
     message_minus_position_mi,
-    position_likelihoods,
     position_mi_exact,
     position_mi_fixed_inputs,
 )

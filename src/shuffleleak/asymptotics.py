@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from .errors import AbsoluteContinuityError, InvalidParameterError
 from .mechanisms import Randomizer
 from .probability import (
     Categorical,
@@ -157,10 +157,16 @@ def clone_message_bound(m: int, eps0: float, n: int) -> float:
 
 
 def mean_chi2(prior: Categorical, r: Randomizer, q: Categorical) -> float:
-    """Prior-weighted chi-squared divergence of the rows from ``q``."""
+    """Prior-weighted chi-squared divergence of the rows from ``q``.
+
+    Infinite when a row with prior mass puts mass outside the support of q.
+    """
     total = 0.0
     for x in prior.support():
-        total += prior.prob(x) * chi2_divergence(r.row_dist(x), q)
+        try:
+            total += prior.prob(x) * chi2_divergence(r.row_dist(x), q)
+        except AbsoluteContinuityError:
+            return math.inf
     return total
 
 

@@ -259,16 +259,28 @@ def parse_config(doc) -> tuple[ExperimentConfig | None, list[Diagnostic]]:
         method=method,
         label=str(doc.get("label", "")),
     )
-    # a literal that was given but is invalid has its own diagnostic, so
-    # the requirement that it be there is not reported again
-    given = {"P": "P" in doc or "p" in doc, "mechanism": "mechanism" in doc}
-    diags.extend(d for d in validate_config(cfg) if not given.get(d.field))
+    # a required literal that was given but is invalid has its own
+    # diagnostic, so the requirement that it be there is not reported again
+    required = "P" if cfg.mode == "shuffle_only" else "mechanism"
+    given = required in doc or required.lower() in doc
+    diags.extend(d for d in validate_config(cfg) if not (given and d.field == required))
     return cfg, diags
 
 
 def validate_config(cfg: ExperimentConfig) -> list[Diagnostic]:
-    """Semantic checks: mode requirements, method support, exact feasibility."""
+    """Semantic checks: mode requirements, unread keys, method support, exact feasibility."""
     diags: list[Diagnostic] = []
+    if cfg.mode == "shuffle_only":
+        unread = {"mechanism": cfg.mechanism, "prior": cfg.prior, "x_inputs": cfg.x_inputs}
+    else:
+        unread = {"P": cfg.p, "Q": cfg.q}
+        if cfg.quantity != "IK":
+            unread["x_inputs"] = cfg.x_inputs
+    diags.extend(
+        Diagnostic(key, f"not read by {cfg.mode} {cfg.quantity}")
+        for key, value in unread.items()
+        if value is not None
+    )
     if cfg.mode == "shuffle_only":
         complete = cfg.p is not None
         if not complete:
@@ -285,7 +297,7 @@ def validate_config(cfg: ExperimentConfig) -> list[Diagnostic]:
             known = set(cfg.mechanism.input_labels)
             if any(lab not in known for lab in cfg.prior.support()):
                 diags.append(Diagnostic("prior", "prior support must be mechanism inputs"))
-        if cfg.x_inputs is not None:
+        if cfg.x_inputs is not None and cfg.quantity == "IK":
             if cfg.mechanism is not None:
                 known = set(cfg.mechanism.input_labels)
                 if any(x not in known for x in cfg.x_inputs):
@@ -327,16 +339,18 @@ def exact_cell(
 ) -> tuple[Callable[[], None], Callable[[], float]]:
     """The exact method of a config at n, as (ceiling check, oracle call).
 
-    The check raises ResourceLimitError exactly when the call would, without
-    enumerating anything. The call looks its oracle up in ``exact`` when it
-    runs. The matched message leakage is a closed form: it has no ceiling.
+    The check raises ResourceLimitError, without enumerating anything, when
+    the cell exceeds the ceiling; run it before the call, which looks its
+    oracle up in ``exact`` when it runs. The matched closed form enumerates
+    nothing, but its n + 1 pmf terms per symbol of p are charged.
     """
     if "exact" not in CELLS.get((cfg.mode, cfg.quantity), {}):
         raise InvalidParameterError(f"no exact method for {cfg.mode} {cfg.quantity}")
     if cfg.mode == "shuffle_only":
         p, q = cfg.p, cfg.cover
         if cfg.quantity == "IY1" and p.same_mass(q):
-            return (lambda: None), (lambda: exact.matched_message_mi(p, n))
+            check = lambda: check_states(len(p.support()) * (n + 1), DEFAULT_LIMITS)
+            return check, (lambda: exact.matched_message_mi(p, n))
         check = lambda: check_states(states_shuffle_only(p, q, n), DEFAULT_LIMITS)
         if cfg.quantity == "IK":
             return check, (lambda: exact.position_mi_exact(p, q, n))

@@ -41,7 +41,7 @@ raises before anything is allocated:
   allows n = 55.
 
 Finite-n closed forms built from binomial expectations stay exact at any
-n and need no ceiling. Their Bin(n, p) pmf is built in numpy from the
+n and enumerate nothing. Their Bin(n, p) pmf is built in numpy from the
 ratio of consecutive terms, outward from the mode, and divided by its
 sum. Up to n = 16384 the closed forms stay within 1e-11 relative of a
 reference pmf from a special-function library (see the tests), and one
@@ -53,8 +53,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, permutations, product, repeat
-from math import comb, factorial, lgamma
+from math import comb, lgamma
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -66,7 +65,7 @@ from .errors import (
     ResourceLimitError,
 )
 from .mechanisms import Randomizer
-from .probability import Categorical, align
+from .probability import Categorical, align, union_labels
 
 
 @dataclass(frozen=True)
@@ -81,18 +80,12 @@ DEFAULT_LIMITS = ExactLimits()
 CHUNK_ROWS = 1 << 14  # histogram rows per enumerated chunk; bounds the engine's memory
 
 
-def _limit_error(states_text: str, limits: ExactLimits) -> ResourceLimitError:
-    return ResourceLimitError(
-        f"enumeration needs {states_text} states, ceiling is {limits.max_states}"
-    )
-
-
 def check_states(states: int, limits: ExactLimits) -> None:
     """Raise ResourceLimitError when ``states`` exceeds the ceiling."""
     if states > limits.max_states:
         # Python refuses to format integers of more than 4300 digits
         text = str(states) if states < 10**15 else f"~10^{int(math.log10(states))}"
-        raise _limit_error(text, limits)
+        raise ResourceLimitError(f"enumeration needs {text} states, ceiling is {limits.max_states}")
 
 
 def states_shuffle_only(p: Categorical, q: Categorical, n: int) -> int:
@@ -492,66 +485,11 @@ def input_mi_shuffle_only(
     The target's message follows ``p1``; user i's message follows
     ``others[i]``, all independent, and the shuffled pool is observed.
     """
-    labels = list(p1.labels)
-    seen = set(labels)
-    for d in others:
-        for lab in d.labels:
-            if lab not in seen:
-                seen.add(lab)
-                labels.append(lab)
-    signal = np.zeros((len(p1.labels), len(labels)))
-    for i, lab in enumerate(p1.labels):
-        signal[i, labels.index(lab)] = 1.0
+    labels = union_labels([p1, *others])
+    signal = np.eye(len(p1.labels), len(labels))  # p1's labels come first
     rows = ([d.prob(lab) for lab in labels] for d in others)
     prior_vec = np.asarray(p1.probs)
     return _input_mi_hist(prior_vec, signal, len(others) + 1, rows, limits)
-
-
-def _check_sequence_states(n: int, n_outputs: int, limits: ExactLimits) -> None:
-    """The ceiling check of ``position_likelihoods``: k^n sequences times n
-    positions times (n - 1)! assignments of the other users.
-
-    The count is a product of factors >= 1, so the partial product passes
-    the ceiling exactly when the count does; it is compared as it grows
-    and the full integer is never formed.
-    """
-    acc = n
-    for f in chain(range(2, n), repeat(n_outputs, n)):
-        acc *= f
-        if acc > limits.max_states:
-            log_states = n * math.log(n_outputs) + math.log(n) + lgamma(max(n - 1, 1) + 1)
-            raise _limit_error(f"~10^{int(log_states / math.log(10))}", limits)
-
-
-def position_likelihoods(
-    r: Randomizer, x_inputs: Sequence, limits: ExactLimits = DEFAULT_LIMITS
-) -> tuple[list[tuple], np.ndarray]:
-    """Conditional law of the released sequence given the target's position.
-
-    Returns (sequences, matrix) where matrix[i, j] is the probability of
-    sequences[j] given that the target's message landed at position i + 1,
-    with all users' inputs fixed to ``x_inputs``.
-    """
-    if len(x_inputs) < 1:
-        raise InvalidParameterError("need at least one input")
-    n = len(x_inputs)
-    k = len(r.output_labels)
-    _check_sequence_states(n, k, limits)
-    rows = np.array([r.row(x) for x in x_inputs])
-    z_idx = np.array(list(product(range(k), repeat=n)), dtype=np.intp).reshape(-1, n)
-    nz = z_idx.shape[0]
-    like = np.zeros((n, nz))
-    for k_pos in range(n):
-        other_pos = [j for j in range(n) if j != k_pos]
-        acc = np.zeros(nz)
-        for perm in permutations(range(1, n)):
-            prod = rows[0][z_idx[:, k_pos]].copy()
-            for u, pos in zip(perm, other_pos):
-                prod *= rows[u][z_idx[:, pos]]
-            acc += prod
-        like[k_pos] = acc / factorial(n - 1)
-    z_tuples = [tuple(r.output_labels[j] for j in row) for row in z_idx]
-    return z_tuples, like
 
 
 def position_mi_fixed_inputs(

@@ -17,7 +17,7 @@ from typing import Hashable, Mapping, Sequence
 import numpy as np
 
 from .errors import InvalidInputError, InvalidParameterError
-from .probability import PROB_SUM_TOL, Categorical
+from .probability import PROB_SUM_TOL, Categorical, union_labels
 
 
 class _Bottom:
@@ -155,14 +155,7 @@ class BlanketDecomposition:
 
 
 def _decompose(sources: Sequence[Categorical], keys: Sequence[Hashable]) -> BlanketDecomposition:
-    labels = []
-    seen = set()
-    for s in sources:
-        for lab in s.labels:
-            if lab not in seen:
-                seen.add(lab)
-                labels.append(lab)
-    labels = tuple(labels)
+    labels = union_labels(sources)
     rows = np.array([[s.prob(l) for l in labels] for s in sources])
     inf_row = rows.min(axis=0)
     gamma = float(inf_row.sum())

@@ -7,7 +7,7 @@ logarithm), and the convention 0*log(0) = 0 applies everywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Hashable, Sequence
+from typing import Any, Hashable, Iterable, Sequence
 
 import numpy as np
 
@@ -123,6 +123,13 @@ def make_zipf(m: int, alpha: float) -> Categorical:
     return Categorical(tuple(range(1, m + 1)), w / w.sum())
 
 
+def union_labels(dists: Iterable[Categorical]) -> tuple:
+    """The union of the distributions' alphabets, each label where it is
+    first seen: the first distribution's order, then each later one's new
+    labels in its own order."""
+    return tuple(dict.fromkeys(lab for d in dists for lab in d.labels))
+
+
 def align(p: Categorical, q: Categorical) -> tuple[tuple, np.ndarray, np.ndarray]:
     """Align two distributions on the union alphabet with zero padding.
 
@@ -131,7 +138,7 @@ def align(p: Categorical, q: Categorical) -> tuple[tuple, np.ndarray, np.ndarray
     """
     if p.labels == q.labels:
         return p.labels, np.asarray(p.probs), np.asarray(q.probs)
-    labels = p.labels + tuple(l for l in q.labels if l not in p._index)
+    labels = union_labels((p, q))
     pv = np.array([p.prob(l) for l in labels])
     qv = np.array([q.prob(l) for l in labels])
     return labels, pv, qv

@@ -51,8 +51,10 @@ def compute_row(cfg: ExperimentConfig, n: int, method: str, row_seed: int) -> Re
     stderr: float | None = None
 
     if method == "exact":
+        check, call = exact_cell(cfg, n)
         try:
-            value = exact_cell(cfg, n)[1]()
+            check()
+            value = call()
         except ResourceLimitError:
             if cfg.method == "all":
                 return None

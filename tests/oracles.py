@@ -57,8 +57,12 @@ def brute_message_mi(p, q, n):
     return total
 
 
-def brute_position_mi_fixed_inputs(r, x_inputs):
-    """Position leakage with fixed inputs by enumerating (outputs, permutation)."""
+def law_by_position(r, x_inputs):
+    """Joint law of the target's position and the released sequence with
+    all inputs fixed, by enumerating (outputs, permutation).
+
+    Returns {z: vector over 0-indexed positions k of P(K = k, Z = z)}.
+    """
     n = len(x_inputs)
     rows = [r.row(x) for x in x_inputs]
     perms = list(itertools.permutations(range(n)))
@@ -72,8 +76,14 @@ def brute_position_mi_fixed_inputs(r, x_inputs):
             z = tuple(msgs[sigma[i]] for i in range(n))
             k = sigma.index(0)
             joint[z][k] += py / math.factorial(n)
+    return dict(joint)
+
+
+def brute_position_mi_fixed_inputs(r, x_inputs):
+    """Position leakage with fixed inputs from the enumerated joint law."""
+    n = len(x_inputs)
     total = 0.0
-    for z, vec in joint.items():
+    for vec in law_by_position(r, x_inputs).values():
         pz = vec.sum()
         for k in range(n):
             if vec[k] > 0:

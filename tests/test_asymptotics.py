@@ -199,6 +199,17 @@ class TestMixedSignalRate:
         expect = e * (e - 1) / (e + k - 1)
         assert mean_chi2(make_uniform(k), r, qb) == pytest.approx(expect, abs=1e-12)
 
+    def test_mean_chi2_outside_the_cover_support(self):
+        # the generalized blanket of this kernel has no mass on output 2
+        from shuffleleak import Categorical, Randomizer
+
+        r = Randomizer((1, 2), (1, 2), [[1.0, 0.0], [0.5, 0.5]])
+        qb = blanket_of_randomizer(r).generalized_blanket
+        assert mean_chi2(make_uniform(2), r, qb) == math.inf
+        # a row without prior mass does not count
+        only_first = Categorical((1, 2), (1.0, 0.0))
+        assert mean_chi2(only_first, r, qb) == pytest.approx(1.0)
+
     @pytest.mark.parametrize("k,eps", [(2, 0.5), (4, 1.0)])
     def test_krr_uniform_cover_rate(self, k, eps):
         r = make_krr(k, eps)

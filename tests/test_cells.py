@@ -91,6 +91,9 @@ SKIP_CASES = {
                              "mechanism": krr(4)}, 1000),  # (n + 1)^3 > 10^7
     "shuffle_dp_IK_krr5": ({"mode": "shuffle_dp", "quantity": "IK",
                             "mechanism": krr(5)}, 16384),
+    # the matched closed form's pmf terms: 4 (n + 1) > 10^7
+    "shuffle_only_IY1_matched": ({"mode": "shuffle_only", "quantity": "IY1",
+                                  "P": ZIPF4}, 10**7),
 }
 
 
@@ -120,7 +123,8 @@ class TestExactSkips:
         assert "exact" in cell_methods(cfg)
         assert cells == [c for c in planned if c != (big, "exact")]
 
-    def test_matched_closed_form_is_never_flagged(self):
+    def test_matched_closed_form_is_not_flagged_at_a_million(self):
+        # 4 (10^6 + 1) pmf terms stay under the ceiling
         literals = {"mode": "shuffle_only", "quantity": "IY1", "P": ZIPF4}
         cfg, diags = self.parsed(literals, "exact", (4, 10**6))
         assert diags == [] and validate_config(cfg) == []

@@ -152,6 +152,48 @@ class TestValidation:
         assert any(d.field == "x_inputs" for d in validate_config(cfg))
 
 
+DP_KRR2 = {"mode": "shuffle_dp", "mechanism": {"type": "krr", "k": 2, "eps0": 1.0}}
+UNIFORM2 = {"type": "uniform", "m": 2}
+
+
+class TestKeysNotRead:
+    """A key that the config's mode and quantity do not read is a diagnostic."""
+
+    @pytest.mark.parametrize("doc,field", [
+        (make_doc(mechanism={"type": "krr", "k": 4, "eps0": 1.0}), "mechanism"),
+        (make_doc(prior={"type": "uniform", "m": 4}), "prior"),
+        (make_doc(x_inputs=[1, 2, 1, 2], n_grid=[4]), "x_inputs"),
+        ({**DP_KRR2, "quantity": "IX1", "P": UNIFORM2}, "P"),
+        ({**DP_KRR2, "quantity": "IX1", "p": UNIFORM2}, "P"),
+        ({**DP_KRR2, "quantity": "IK", "Q": UNIFORM2}, "Q"),
+        ({**DP_KRR2, "quantity": "IY1", "q": UNIFORM2}, "Q"),
+        ({**DP_KRR2, "quantity": "IX1", "x_inputs": [1, 1, 1]}, "x_inputs"),
+        # a length mismatch is not reported for inputs that are not read
+        ({**DP_KRR2, "quantity": "IX1", "x_inputs": [1, 1]}, "x_inputs"),
+        ({**DP_KRR2, "quantity": "IY1", "x_inputs": [1, 1, 1]}, "x_inputs"),
+    ])
+    def test_one_diagnostic_per_key(self, tmp_path, doc, field):
+        doc = {"n_grid": [3], **doc}
+        _, diags = parse_config(doc)
+        mode, quantity = doc["mode"], doc["quantity"]
+        assert [str(d) for d in diags] == [f"{field}: not read by {mode} {quantity}"]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        for command in ("validate", "run"):
+            assert CliRunner().invoke(main, [command, "--config", str(path)]).exit_code == 2
+
+    @pytest.mark.parametrize("quantity", ["IX1", "IK", "IY1"])
+    def test_prior_is_read_by_every_dp_quantity(self, quantity):
+        _, diags = parse_config({**DP_KRR2, "quantity": quantity, "n_grid": [3],
+                                 "prior": {"type": "explicit", "probs": [0.3, 0.7]}})
+        assert diags == []
+
+    def test_fixed_inputs_are_read_by_dp_position(self):
+        cfg, diags = parse_config({**DP_KRR2, "quantity": "IK", "n_grid": [3],
+                                   "x_inputs": [2, 1, 1]})
+        assert diags == [] and cfg.x_inputs == (2, 1, 1)
+
+
 class TestNestedLiterals:
     """Distribution and mechanism literals are checked like the top-level keys."""
 
@@ -429,6 +471,32 @@ class TestCli:
         assert result.exit_code == 2 and isinstance(result.exception, SystemExit)
         assert f"Invalid value for '{option}'" in result.output
 
+    def test_blanket_bound_outside_the_blanket_support(self, tmp_path):
+        # row 2 puts mass on output 2, which the generalized blanket lacks
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({
+            "mode": "shuffle_dp", "quantity": "IX1",
+            "mechanism": {"type": "explicit", "kernel": [[1, 0], [0.5, 0.5]]},
+            "n_grid": [4], "method": "bounds",
+        }))
+        result = CliRunner().invoke(main, ["run", "--config", str(path)])
+        assert result.exit_code == 0, result.output
+        rows = list(csv.DictReader(io.StringIO(result.output)))
+        assert [(r["method"], r["value_nats"]) for r in rows] == [
+            ("bound_unified", "inf"), ("bound_blanket", "inf"),
+        ]
+
+    def test_matched_exact_beyond_the_pmf_budget_exits_3(self, tmp_path):
+        doc = make_doc(method="exact", n_grid=[4, 10**7])
+        del doc["Q"]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        result = CliRunner().invoke(main, ["run", "--config", str(path)])
+        assert result.exit_code == 3
+        result = CliRunner().invoke(main, ["validate", "--config", str(path)])
+        assert result.exit_code == 2
+        assert result.output.startswith("n_grid: resource-limit: exact method at n=10000000: ")
+
     def test_preset_command(self, tmp_path):
         out = tmp_path / "fig1.csv"
         result = CliRunner().invoke(main, ["preset", "fig1", "--out", str(out)])
@@ -437,7 +505,7 @@ class TestCli:
 
 
 class TestHugeStateCounts:
-    """Permutation counts of tens of thousands of digits (k^n n (n-1)!)."""
+    """State counts past 10^15, which the diagnostic prints as ~10^d."""
 
     @staticmethod
     def write(tmp_path, method, n_grid):

@@ -27,7 +27,6 @@ from shuffleleak import (
     message_mi_expansion,
     message_minus_position_mi,
     mixed_signal_rate,
-    position_likelihoods,
     position_mi_exact,
     position_mi_fixed_inputs,
     row_mixture,
@@ -37,6 +36,7 @@ from shuffleleak.exact import states_shuffle_only
 from oracles import (
     brute_message_mi,
     brute_position_mi_fixed_inputs,
+    law_by_position,
     random_categorical,
 )
 
@@ -327,10 +327,6 @@ class TestPositionFixedInputs:
         v = position_mi_fixed_inputs(r, (1, 2, 2))
         assert v <= 2 * math.log(3) + 1e-9
 
-    def test_likelihood_rows_are_distributions(self):
-        _, like = position_likelihoods(make_krr(2, 0.8), (1, 2, 1))
-        assert np.allclose(like.sum(axis=1), 1.0)
-
     def test_position_law_is_2eps_private(self):
         # max log-ratio of the conditional laws across positions stays
         # within twice the mechanism's LDP parameter
@@ -343,13 +339,16 @@ class TestPositionFixedInputs:
             eps = ldp_epsilon(r)
             n = int(rng.integers(2, 6))
             xs = tuple(int(rng.integers(1, 4)) for _ in range(n))
-            _, like = position_likelihoods(r, xs)
-            for j in range(like.shape[1]):
-                col = like[:, j]
-                pos = col[col > 0]
-                if len(pos) == like.shape[0]:
-                    ratio = math.log(pos.max() / pos.min())
-                    assert ratio <= 2 * eps + 1e-9
+            law = law_by_position(r, xs)
+            cond = n * np.array(list(law.values()))  # P(z | K = k), one row per z
+            # each position's law is a distribution whose slot k holds the target's row
+            assert np.allclose(cond.sum(axis=0), 1.0)
+            for k in range(n):
+                slot = [cond[[z[k] == a for z in law], k].sum() for a in r.output_labels]
+                assert np.allclose(slot, r.row(xs[0]))
+            for row in cond:  # the kernel is positive, so every position is possible
+                assert (row > 0).all()
+                assert math.log(row.max() / row.min()) <= 2 * eps + 1e-9
 
     def test_bounded_by_twice_eps_at_larger_n(self):
         # the paper's I(K; Z) <= 2 eps0, beyond the sizes enumeration reaches

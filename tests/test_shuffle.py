@@ -20,7 +20,7 @@ from shuffleleak import (
     sample_shuffle_only,
 )
 
-from oracles import random_categorical
+from oracles import law_by_position, random_categorical
 
 
 def dist(*probs, labels=None):
@@ -77,20 +77,18 @@ class TestSampling:
             sample_shuffle_dp(make_krr(2, 1.0), (1, 9), np.random.default_rng(0))
 
     def test_dp_joint_matches_enumerated_law(self):
-        # empirical (k_true, z) frequencies vs the exact conditional laws
-        from shuffleleak import position_likelihoods
-
+        # empirical (k_true, z) frequencies vs the enumerated joint law
         r = make_krr(2, math.log(3))
         xs = (1, 2, 2)
-        z_tuples, like = position_likelihoods(r, xs)
-        idx = {z: j for j, z in enumerate(z_tuples)}
+        law = law_by_position(r, xs)
+        idx = {z: j for j, z in enumerate(law)}
         rng = np.random.default_rng(23)
         trials = 30_000
-        counts = np.zeros((3, len(z_tuples)))
+        counts = np.zeros((3, len(law)))
         for _ in range(trials):
             s = sample_shuffle_dp(r, xs, rng)
             counts[s.k_true - 1, idx[s.z]] += 1
-        expected = like / 3 * trials
+        expected = np.array(list(law.values())).T * trials
         assert chisquare(counts.ravel(), expected.ravel()).pvalue > 0.01
 
     def test_csv_row_serialization(self):
