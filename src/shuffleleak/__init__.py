@@ -28,8 +28,6 @@ from .errors import (
     ShuffleLeakError,
 )
 from .exact import (
-    DEFAULT_LIMITS,
-    ExactLimits,
     input_mi_fixed_others,
     input_mi_iid_others,
     input_mi_shuffle_only,

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import click
 
-from .config import parse_config
+from .config import ceiling_diagnostics, parse_config
 from .errors import ResourceLimitError
 from .runner import preset_configs, run_configs, to_csv
 
@@ -53,11 +53,8 @@ def main():
 def run(config_path, out, samples, seed, workers):
     """Run one experiment config and emit a CSV table."""
     cfg, diags = _parse_file(config_path)
-    # resource-limit findings are advisory here: the oracle raises at run
-    # time and the command exits 3, matching the documented exit codes
-    blocking = [d for d in diags if "resource-limit" not in d.message]
-    if blocking:
-        for d in blocking:
+    if diags:
+        for d in diags:
             click.echo(str(d), err=True)
         sys.exit(2)
     _run_and_emit([cfg.with_overrides(samples=samples, seed=seed)], workers, out)
@@ -67,7 +64,9 @@ def run(config_path, out, samples, seed, workers):
 @click.option("--config", "config_path", required=True, type=click.Path())
 def validate(config_path):
     """Check a config; print one diagnostic per problem."""
-    _, diags = _parse_file(config_path)
+    cfg, diags = _parse_file(config_path)
+    if cfg is not None:
+        diags += ceiling_diagnostics(cfg)
     if diags:
         for d in diags:
             click.echo(str(d))

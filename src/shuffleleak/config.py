@@ -19,8 +19,8 @@ import numpy as np
 from . import exact
 from .errors import InvalidParameterError, ResourceLimitError
 from .exact import (
-    DEFAULT_LIMITS,
     check_states,
+    states_binomial,
     states_input_mi,
     states_position_dp,
     states_shuffle_only,
@@ -268,7 +268,7 @@ def parse_config(doc) -> tuple[ExperimentConfig | None, list[Diagnostic]]:
 
 
 def validate_config(cfg: ExperimentConfig) -> list[Diagnostic]:
-    """Semantic checks: mode requirements, unread keys, method support, exact feasibility."""
+    """Semantic checks: mode requirements, unread keys, method support."""
     diags: list[Diagnostic] = []
     if cfg.mode == "shuffle_only":
         unread = {"mechanism": cfg.mechanism, "prior": cfg.prior, "x_inputs": cfg.x_inputs}
@@ -282,16 +282,14 @@ def validate_config(cfg: ExperimentConfig) -> list[Diagnostic]:
         if value is not None
     )
     if cfg.mode == "shuffle_only":
-        complete = cfg.p is not None
-        if not complete:
+        if cfg.p is None:
             diags.append(Diagnostic("P", "shuffle_only requires a target distribution"))
         if cfg.quantity == "IX1":
             diags.append(
                 Diagnostic("quantity", "unrandomized messages equal inputs; use IY1")
             )
     else:
-        complete = cfg.mechanism is not None
-        if not complete:
+        if cfg.mechanism is None:
             diags.append(Diagnostic("mechanism", "shuffle_dp requires a mechanism"))
         if cfg.prior is not None and cfg.mechanism is not None:
             known = set(cfg.mechanism.input_labels)
@@ -316,14 +314,21 @@ def validate_config(cfg: ExperimentConfig) -> list[Diagnostic]:
             for base in cfg.method.split("+")
             if base not in cell
         )
-        if complete and "exact" in cell_methods(cfg):
-            for n in cfg.n_grid:
-                try:
-                    exact_cell(cfg, n)[0]()
-                except ResourceLimitError as exc:
-                    diags.append(
-                        Diagnostic("n_grid", f"resource-limit: exact method at n={n}: {exc}")
-                    )
+    return diags
+
+
+def ceiling_diagnostics(cfg: ExperimentConfig) -> list[Diagnostic]:
+    """One diagnostic per n whose exact cell exceeds the state ceiling, from
+    state counts alone: a run skips that cell under 'all', exits 3 on 'exact'."""
+    given = cfg.p if cfg.mode == "shuffle_only" else cfg.mechanism
+    if given is None or cfg.method == "all" or "exact" not in cell_methods(cfg):
+        return []
+    diags = []
+    for n in cfg.n_grid:
+        try:
+            exact_cell(cfg, n)[0]()
+        except ResourceLimitError as exc:
+            diags.append(Diagnostic("n_grid", f"resource-limit: exact method at n={n}: {exc}"))
     return diags
 
 
@@ -339,29 +344,31 @@ def exact_cell(
 ) -> tuple[Callable[[], None], Callable[[], float]]:
     """The exact method of a config at n, as (ceiling check, oracle call).
 
-    The check raises ResourceLimitError, without enumerating anything, when
-    the cell exceeds the ceiling; run it before the call, which looks its
-    oracle up in ``exact`` when it runs. The matched closed form enumerates
-    nothing, but its n + 1 pmf terms per symbol of p are charged.
+    The check raises ResourceLimitError, computing nothing, when the cell
+    exceeds the ceiling; the call raises it too, as every exact oracle
+    does, and looks its oracle up in ``exact`` when it runs.
     """
     if "exact" not in CELLS.get((cfg.mode, cfg.quantity), {}):
         raise InvalidParameterError(f"no exact method for {cfg.mode} {cfg.quantity}")
     if cfg.mode == "shuffle_only":
         p, q = cfg.p, cfg.cover
         if cfg.quantity == "IY1" and p.same_mass(q):
-            check = lambda: check_states(len(p.support()) * (n + 1), DEFAULT_LIMITS)
+            check = lambda: check_states(states_binomial(p, n))
             return check, (lambda: exact.matched_message_mi(p, n))
-        check = lambda: check_states(states_shuffle_only(p, q, n), DEFAULT_LIMITS)
+        check = lambda: check_states(states_shuffle_only(p, q, n))
         if cfg.quantity == "IK":
             return check, (lambda: exact.position_mi_exact(p, q, n))
         return check, (lambda: exact.message_mi_exact(p, q, n))
     r = cfg.mechanism
     k = len(r.output_labels)
     count = states_input_mi if cfg.quantity == "IX1" else states_position_dp
-    check = lambda: check_states(count(n, k), DEFAULT_LIMITS)
+    check = lambda: check_states(count(n, k))
     if cfg.quantity == "IX1":
         return check, (lambda: exact.input_mi_iid_others(r, cfg.input_prior(), n))
-    x_inputs = cfg.x_inputs
-    if x_inputs is None:
-        x_inputs = tuple(islice(cycle(r.input_labels), n))
-    return check, (lambda: exact.position_mi_fixed_inputs(r, x_inputs))
+
+    def fixed_inputs():
+        check()  # before the n cycled inputs are built
+        x_inputs = cfg.x_inputs or tuple(islice(cycle(r.input_labels), n))
+        return exact.position_mi_fixed_inputs(r, x_inputs)
+
+    return check, fixed_inputs

@@ -18,4 +18,4 @@ class AbsoluteContinuityError(InvalidInputError):
 
 
 class ResourceLimitError(ShuffleLeakError, RuntimeError):
-    """An exact enumeration would exceed the configured state ceiling."""
+    """An exact oracle would exceed the state ceiling, ``exact.MAX_STATES``."""

@@ -1,7 +1,8 @@
 """Ground-truth leakage values at small scale.
 
-Two kinds of machinery live here, each behind a state ceiling that
-raises before anything is allocated:
+Every oracle counts its states (histograms, grid cells or pmf terms)
+and raises ResourceLimitError before it allocates anything when the
+count exceeds MAX_STATES. Two kinds of machinery live here:
 
 - A histogram engine for position and message leakage of the
   two-distribution channel and for input leakage with i.i.d. others.
@@ -26,7 +27,7 @@ raises before anything is allocated:
   kernel, never of an enumerated probability, so underflow in the tail
   of the law cannot make a value infinite. The signal statistic works
   one signal row at a time, so a chunk never builds a (signals, rows)
-  float array. At m = 4 the default ceiling of 10^7 states binds before
+  float array. At m = 4 the ceiling of 10^7 states binds before
   time does: n = 224 for the two-distribution oracles and n = 208 for
   i.i.d. input, each in about 0.15-0.25 s on one core.
 - A dense driver for a target row among other users whose rows differ
@@ -37,16 +38,16 @@ raises before anything is allocated:
   shifts mixed through the target's kernel rows, and position leakage
   with fixed inputs weighs them by the target's row,
   t_a = R[x_1, a] s[a], with the position posterior proportional to
-  t_a / h_a. Its work is n (n + 1)^(k - 1): at k = 4 the default ceiling
-  allows n = 55.
+  t_a / h_a. Its work is n (n + 1)^(k - 1): at k = 4 the ceiling allows
+  n = 55.
 
-Finite-n closed forms built from binomial expectations stay exact at any
-n and enumerate nothing. Their Bin(n, p) pmf is built in numpy from the
-ratio of consecutive terms, outward from the mode, and divided by its
-sum. Up to n = 16384 the closed forms stay within 1e-11 relative of a
-reference pmf from a special-function library (see the tests), and one
-binomial expectation takes about 0.3 ms at that n (2.9 ms with the
-library's pmf).
+Finite-n closed forms built from binomial expectations are exact and
+enumerate nothing. Their Bin(n, p) pmf is built in numpy from the ratio
+of consecutive terms, outward from the mode, and divided by its sum; its
+n + 1 terms per symbol are their states. Up to n = 16384 the closed forms
+stay within 1e-11 relative of a reference pmf from a special-function
+library (see the tests), and one binomial expectation takes about 0.3 ms
+at that n (2.9 ms with the library's pmf).
 """
 
 from __future__ import annotations
@@ -68,24 +69,17 @@ from .mechanisms import Randomizer
 from .probability import Categorical, align, union_labels
 
 
-@dataclass(frozen=True)
-class ExactLimits:
-    """Ceiling on enumerated states; exceeding it raises, never truncates."""
-
-    max_states: int = 10_000_000
-
-
-DEFAULT_LIMITS = ExactLimits()
-
+MAX_STATES = 10_000_000  # the state ceiling of every exact oracle; exceeding it raises
 CHUNK_ROWS = 1 << 14  # histogram rows per enumerated chunk; bounds the engine's memory
 
 
-def check_states(states: int, limits: ExactLimits) -> None:
-    """Raise ResourceLimitError when ``states`` exceeds the ceiling."""
-    if states > limits.max_states:
+def check_states(states: int) -> None:
+    """Raise ResourceLimitError when ``states`` exceeds MAX_STATES, read at
+    call time. A state is one histogram, grid cell or pmf term."""
+    if states > MAX_STATES:
         # Python refuses to format integers of more than 4300 digits
         text = str(states) if states < 10**15 else f"~10^{int(math.log10(states))}"
-        raise ResourceLimitError(f"enumeration needs {text} states, ceiling is {limits.max_states}")
+        raise ResourceLimitError(f"the exact oracle needs {text} states, ceiling is {MAX_STATES}")
 
 
 def states_shuffle_only(p: Categorical, q: Categorical, n: int) -> int:
@@ -107,6 +101,11 @@ def states_position_dp(n: int, n_outputs: int) -> int:
     oracles: n draws (the target's included), each updating every cell of
     the (n + 1)^(k - 1) grid of counts."""
     return n * (n + 1) ** (n_outputs - 1)
+
+
+def states_binomial(p: Categorical, n: int) -> int:
+    """Pmf terms of the binomial closed forms: n + 1 for each symbol of p's support."""
+    return len(p.support()) * (n + 1)
 
 
 def _bounded_vectors(total: int, dim: int) -> Iterator[np.ndarray]:
@@ -292,9 +291,7 @@ def input_form(r: Randomizer, prior: Categorical, n: int) -> HistogramForm:
     return _signal_form(prior_vec[sent], ratio, cover, cover, 0.0)
 
 
-def position_mi_exact(
-    p: Categorical, q: Categorical, n: int, limits: ExactLimits = DEFAULT_LIMITS
-) -> float:
+def position_mi_exact(p: Categorical, q: Categorical, n: int) -> float:
     """Exact position leakage of the two-distribution shuffle channel.
 
     The position posterior given the released sequence is proportional to
@@ -304,13 +301,11 @@ def position_mi_exact(
     position and contributes log n.
     """
     form = position_form(p, q, n)
-    check_states(states_shuffle_only(p, q, n), limits)
+    check_states(states_shuffle_only(p, q, n))
     return _histogram_value(n, form)
 
 
-def message_mi_exact(
-    p: Categorical, q: Categorical, n: int, limits: ExactLimits = DEFAULT_LIMITS
-) -> float:
+def message_mi_exact(p: Categorical, q: Categorical, n: int) -> float:
     """Exact message leakage of the two-distribution shuffle channel.
 
     Given a visible target value a, the posterior of the target's message
@@ -320,7 +315,7 @@ def message_mi_exact(
     w.r.t. the cover.
     """
     form = message_form(p, q, n)
-    check_states(states_shuffle_only(p, q, n), limits)
+    check_states(states_shuffle_only(p, q, n))
     return _histogram_value(n, form)
 
 
@@ -355,8 +350,9 @@ def matched_message_mi(p: Categorical, n: int) -> float:
 
     Closed form via binomial expectations,
     sum_i E[(X/n) log(X/n)] - p_i log p_i with X ~ Bin(n, p_i),
-    valid at every finite n (no asymptotics, no enumeration ceiling). It is
-    the message-minus-position gap at q = p, where position leakage is 0.
+    valid at every finite n (no asymptotics, no enumeration); its
+    |supp p| (n + 1) pmf terms are checked against the ceiling. It is the
+    message-minus-position gap at q = p, where position leakage is 0.
     """
     return message_minus_position_mi(p, p, n)
 
@@ -371,6 +367,7 @@ def message_minus_position_mi(p: Categorical, q: Categorical, n: int) -> float:
     """
     if n < 1:
         raise InvalidParameterError("n must be at least 1")
+    check_states(states_binomial(p, n))
     labels, pv, qv = align(p, q)
     if np.any((pv > 0) & (qv == 0)):
         raise AbsoluteContinuityError("target has mass outside the cover support")
@@ -384,7 +381,7 @@ def message_minus_position_mi(p: Categorical, q: Categorical, n: int) -> float:
 
 
 def _shifted_laws(
-    n: int, k: int, other_rows: Iterable[Sequence[float]], limits: ExactLimits
+    n: int, k: int, other_rows: Iterable[Sequence[float]]
 ) -> tuple[np.ndarray, np.ndarray]:
     """The dense driver: the law of the other users' counts, shifted by the
     target's message.
@@ -398,7 +395,7 @@ def _shifted_laws(
     of the counts of symbols 1..k-1 (the count of symbol 0 is implicit),
     so no draw, the target's included, shifts mass off the grid.
     """
-    check_states(states_position_dp(n, k), limits)
+    check_states(states_position_dp(n, k))
     law = np.zeros((n + 1,) * (k - 1))
     law[(0,) * (k - 1)] = 1.0
     for row in other_rows:
@@ -421,7 +418,6 @@ def _input_mi_hist(
     signal_rows: np.ndarray,
     n: int,
     other_rows: Iterable[Sequence[float]],
-    limits: ExactLimits,
 ) -> float:
     """Mutual information between the signal index and the pooled histogram.
 
@@ -432,7 +428,7 @@ def _input_mi_hist(
     smallest prior mass, so it cannot underflow to 0 where a likelihood is
     positive, however far in the tail of the law the histogram lies.
     """
-    s, _ = _shifted_laws(n, signal_rows.shape[1], other_rows, limits)
+    s, _ = _shifted_laws(n, signal_rows.shape[1], other_rows)
     seen = prior_vec > 0
     px = prior_vec[seen]
     lx = signal_rows[seen] @ s
@@ -441,27 +437,17 @@ def _input_mi_hist(
     return float(top @ _signal_divergence(px, rows, px @ rows))
 
 
-def input_mi_fixed_others(
-    r: Randomizer,
-    prior: Categorical,
-    x_rest: Sequence,
-    limits: ExactLimits = DEFAULT_LIMITS,
-) -> float:
+def input_mi_fixed_others(r: Randomizer, prior: Categorical, x_rest: Sequence) -> float:
     """Exact input leakage with the other users' inputs held fixed.
 
     The target's input follows ``prior`` and is pushed through ``r``; each
     remaining user i contributes one draw from the row of ``x_rest[i]``.
     """
     prior_vec = _prior_vector(prior, r.input_labels)
-    return _input_mi_hist(prior_vec, r.kernel, len(x_rest) + 1, map(r.row, x_rest), limits)
+    return _input_mi_hist(prior_vec, r.kernel, len(x_rest) + 1, map(r.row, x_rest))
 
 
-def input_mi_iid_others(
-    r: Randomizer,
-    prior: Categorical,
-    n: int,
-    limits: ExactLimits = DEFAULT_LIMITS,
-) -> float:
+def input_mi_iid_others(r: Randomizer, prior: Categorical, n: int) -> float:
     """Exact input leakage when every user's input is i.i.d. from ``prior``.
 
     The non-target outputs are then i.i.d. from the output marginal
@@ -471,15 +457,11 @@ def input_mi_iid_others(
     the Monte Carlo input estimator converges to.
     """
     form = input_form(r, prior, n)
-    check_states(states_input_mi(n, len(r.output_labels)), limits)
+    check_states(states_input_mi(n, len(r.output_labels)))
     return _histogram_value(n, form)
 
 
-def input_mi_shuffle_only(
-    p1: Categorical,
-    others: Sequence[Categorical],
-    limits: ExactLimits = DEFAULT_LIMITS,
-) -> float:
+def input_mi_shuffle_only(p1: Categorical, others: Sequence[Categorical]) -> float:
     """Exact input leakage when messages are sent unrandomized.
 
     The target's message follows ``p1``; user i's message follows
@@ -489,12 +471,10 @@ def input_mi_shuffle_only(
     signal = np.eye(len(p1.labels), len(labels))  # p1's labels come first
     rows = ([d.prob(lab) for lab in labels] for d in others)
     prior_vec = np.asarray(p1.probs)
-    return _input_mi_hist(prior_vec, signal, len(others) + 1, rows, limits)
+    return _input_mi_hist(prior_vec, signal, len(others) + 1, rows)
 
 
-def position_mi_fixed_inputs(
-    r: Randomizer, x_inputs: Sequence, limits: ExactLimits = DEFAULT_LIMITS
-) -> float:
+def position_mi_fixed_inputs(r: Randomizer, x_inputs: Sequence) -> float:
     """Exact position leakage with all users' inputs fixed.
 
     Summed over the released sequences with histogram h whose slot k holds
@@ -505,7 +485,7 @@ def position_mi_fixed_inputs(
     n = len(x_inputs)
     if n < 1:
         raise InvalidParameterError("need at least one input")
-    s, h = _shifted_laws(n, len(r.output_labels), map(r.row, x_inputs[1:]), limits)
+    s, h = _shifted_laws(n, len(r.output_labels), map(r.row, x_inputs[1:]))
     t = r.row(x_inputs[0])[:, None] * s
     # n t_a / (h_a sum_b t_b), taken where t_a > 0 (so h_a >= 1)
     ratio = t / _or_one(t.sum(axis=0)) * (n / np.maximum(h, 1))

@@ -51,10 +51,8 @@ def compute_row(cfg: ExperimentConfig, n: int, method: str, row_seed: int) -> Re
     stderr: float | None = None
 
     if method == "exact":
-        check, call = exact_cell(cfg, n)
         try:
-            check()
-            value = call()
+            value = exact_cell(cfg, n)[1]()
         except ResourceLimitError:
             if cfg.method == "all":
                 return None

@@ -10,8 +10,8 @@ from shuffleleak.config import (
     MODES,
     QUANTITIES,
     cell_methods,
+    ceiling_diagnostics,
     parse_config,
-    validate_config,
 )
 from shuffleleak.errors import InvalidParameterError
 from shuffleleak.runner import compute_row, run_configs
@@ -108,8 +108,9 @@ class TestExactSkips:
     @pytest.mark.parametrize("case", SKIP_CASES)
     def test_explicit_exact_flags_exactly_n(self, case):
         literals, big = SKIP_CASES[case]
-        cfg, _ = self.parsed(literals, "exact", (4, big))
-        diags = validate_config(cfg)
+        cfg, diags = self.parsed(literals, "exact", (4, big))
+        assert diags == []  # parsing never reports the ceiling
+        diags = ceiling_diagnostics(cfg)
         assert len(diags) == 1
         assert str(diags[0]).startswith(f"n_grid: resource-limit: exact method at n={big}: ")
 
@@ -127,7 +128,7 @@ class TestExactSkips:
         # 4 (10^6 + 1) pmf terms stay under the ceiling
         literals = {"mode": "shuffle_only", "quantity": "IY1", "P": ZIPF4}
         cfg, diags = self.parsed(literals, "exact", (4, 10**6))
-        assert diags == [] and validate_config(cfg) == []
+        assert diags == [] and ceiling_diagnostics(cfg) == []
         rows = run_configs([cfg])
         assert [(r.n, r.method) for r in rows] == [(4, "exact"), (10**6, "exact")]
         assert all(math.isfinite(r.value) and r.value > 0 for r in rows)

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,7 @@ import shuffleleak
 from shuffleleak.cli import main
 from shuffleleak.config import (
     ExperimentConfig,
+    ceiling_diagnostics,
     parse_config,
     validate_config,
 )
@@ -104,16 +106,17 @@ class TestValidation:
         assert [d.field for d in diags] == ["samples"]
 
     def test_exact_resource_limit_diagnostic(self):
-        _, diags = parse_config(
+        cfg, diags = parse_config(
             make_doc(method="exact", n_grid=[1_000_000])
         )
-        assert any("resource-limit" in d.message for d in diags)
+        assert diags == []  # parsing never reports the ceiling
+        assert any("resource-limit" in d.message for d in ceiling_diagnostics(cfg))
 
     def test_matched_closed_form_has_no_limit(self):
         doc = make_doc(method="exact", n_grid=[1_000_000])
         del doc["Q"]
-        _, diags = parse_config(doc)
-        assert diags == []
+        cfg, diags = parse_config(doc)
+        assert diags == [] and ceiling_diagnostics(cfg) == []
 
     def test_unknown_key(self):
         _, diags = parse_config(make_doc(sampels=5))
@@ -447,6 +450,33 @@ class TestCli:
         path.write_text(json.dumps(make_doc(method="exact", n_grid=[1_000_000])))
         result = CliRunner().invoke(main, ["run", "--config", str(path)])
         assert result.exit_code == 3
+
+    def test_run_refuses_any_diagnostic(self, tmp_path):
+        # a literal whose text mentions the ceiling is still a config error
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"mode": "shuffle_only", "quantity": "IY1", "n_grid": [4],
+                                    "P": {"type": "uniform", "m": "resource-limit"}}))
+        result = CliRunner().invoke(main, ["run", "--config", str(path)])
+        assert result.exit_code == 2 and isinstance(result.exception, SystemExit)
+        assert result.stderr == (
+            "P: invalid uniform literal: m must be an integer, got 'resource-limit'\n"
+        )
+
+    def test_cycled_inputs_over_the_ceiling_are_not_built(self, tmp_path):
+        # 10^7 cycled inputs would take 80 MB; the state count refuses them first
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"mode": "shuffle_dp", "quantity": "IK", "method": "exact",
+                                    "mechanism": {"type": "krr", "k": 2, "eps0": 1.0},
+                                    "n_grid": [10**7]}))
+        for command, code in (("validate", 2), ("run", 3)):
+            tracemalloc.start()
+            try:
+                result = CliRunner().invoke(main, [command, "--config", str(path)])
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert result.exit_code == code and "resource" in result.output
+            assert peak < 2**20
 
     def test_seed_override_changes_mc(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

@@ -9,7 +9,6 @@ from scipy.stats import binom
 from shuffleleak import (
     AbsoluteContinuityError,
     Categorical,
-    ExactLimits,
     Randomizer,
     ResourceLimitError,
     blanket_of_family,
@@ -31,6 +30,7 @@ from shuffleleak import (
     position_mi_fixed_inputs,
     row_mixture,
 )
+from shuffleleak import exact
 from shuffleleak.exact import states_shuffle_only
 
 from oracles import (
@@ -67,9 +67,10 @@ class TestPositionExact:
         for n in (2, 4, 7):
             assert position_mi_exact(p, q, n) == pytest.approx(math.log(n), abs=1e-12)
 
-    def test_ceiling_enforced(self):
+    def test_ceiling_enforced(self, monkeypatch):
+        monkeypatch.setattr(exact, "MAX_STATES", 1000)
         with pytest.raises(ResourceLimitError):
-            position_mi_exact(ZIPF, U4, 500, ExactLimits(max_states=1000))
+            position_mi_exact(ZIPF, U4, 500)
 
     def test_split_gap_shrinks(self):
         p = dist(0.5, 0.3, 0.2)
@@ -257,10 +258,10 @@ class TestInputOracles:
         got = input_mi_fixed_others(ext, prior, ("m",) * (n - 1))
         assert got == pytest.approx(input_mi_iid_others(r, prior, n), rel=1e-9)
 
-    def test_iid_ceiling(self):
+    def test_iid_ceiling(self, monkeypatch):
+        monkeypatch.setattr(exact, "MAX_STATES", 10_000)
         with pytest.raises(ResourceLimitError):
-            input_mi_iid_others(make_krr(4, 1.0), make_uniform(4), 10_000,
-                                ExactLimits(max_states=10_000))
+            input_mi_iid_others(make_krr(4, 1.0), make_uniform(4), 10_000)
 
     def test_histogram_is_sufficient_for_input(self):
         # ordering carries nothing once the counts are known
@@ -417,11 +418,11 @@ class TestHistogramEngine:
                     input_mi_shuffle_only(p, [q] * (n - 1)), abs=1e-12
                 )
 
-    def test_gap_identity_at_large_n(self):
-        limits = ExactLimits(max_states=10**8)
+    def test_gap_identity_at_large_n(self, monkeypatch):
+        monkeypatch.setattr(exact, "MAX_STATES", 10**8)
         for p, q in ((dist(0.7, 0.3), dist(0.4, 0.6)), (make_zipf(3, 0.7), make_uniform(3))):
             for n in (2, 64, 512, 4096):
-                gap = message_mi_exact(p, q, n, limits) - position_mi_exact(p, q, n, limits)
+                gap = message_mi_exact(p, q, n) - position_mi_exact(p, q, n)
                 assert gap == pytest.approx(
                     message_minus_position_mi(p, q, n), rel=1e-10, abs=1e-13
                 )
@@ -471,16 +472,21 @@ class TestHistogramEngine:
                 tracemalloc.stop()
             assert peak < 16 * 2**20
 
-    def test_ceiling_raises_before_allocating(self):
-        tiny = ExactLimits(max_states=10)
+    def test_ceiling_raises_before_allocating(self, monkeypatch):
+        monkeypatch.setattr(exact, "MAX_STATES", 10)
         many = (1,) * 50_000  # the fixed-input oracles read no row of these
+        covers = [U4] * 50_000
         calls = (
-            lambda: position_mi_exact(ZIPF, U4, 10**9, tiny),
-            lambda: message_mi_exact(ZIPF, U4, 10**9, tiny),
-            lambda: input_mi_iid_others(make_krr(4, 1.0), U4, 10**9, tiny),
-            lambda: position_mi_fixed_inputs(make_krr(4, 1.0), (1,) * 5, tiny),
-            lambda: position_mi_fixed_inputs(make_krr(4, 1.0), many, tiny),
-            lambda: input_mi_fixed_others(make_krr(4, 1.0), U4, many, tiny),
+            lambda: position_mi_exact(ZIPF, U4, 10**9),
+            lambda: message_mi_exact(ZIPF, U4, 10**9),
+            lambda: input_mi_iid_others(make_krr(4, 1.0), U4, 10**9),
+            lambda: position_mi_fixed_inputs(make_krr(4, 1.0), (1,) * 5),
+            lambda: position_mi_fixed_inputs(make_krr(4, 1.0), many),
+            lambda: input_mi_fixed_others(make_krr(4, 1.0), U4, many),
+            lambda: input_mi_shuffle_only(U4, covers),
+            # the closed forms build n + 1 pmf terms per symbol, tens of MiB here
+            lambda: matched_message_mi(ZIPF, 10**6),
+            lambda: message_minus_position_mi(ZIPF, U4, 10**6),
         )
         for call in calls:
             tracemalloc.start()
@@ -492,10 +498,11 @@ class TestHistogramEngine:
                 tracemalloc.stop()
             assert peak < 2**20
 
-    def test_huge_state_count_message(self):
+    def test_huge_state_count_message(self, monkeypatch):
         # state counts of 10^15 and more are reported as a power of ten
         # instead of being formatted
         with pytest.raises(ResourceLimitError, match=r"~10\^\d+ states"):
             position_mi_fixed_inputs(make_krr(5, 1.0), (1,) * 16384)
+        monkeypatch.setattr(exact, "MAX_STATES", 4096)
         with pytest.raises(ResourceLimitError, match=r"needs 4097 states"):
-            input_mi_iid_others(make_krr(2, 0.5), make_uniform(2), 4096, ExactLimits(4096))
+            input_mi_iid_others(make_krr(2, 0.5), make_uniform(2), 4096)
