@@ -11,7 +11,8 @@ count exceeds MAX_STATES. Two kinds of machinery live here:
   of the cover (or of the output marginal), plus a constant for target
   messages the cover hides. The same forms drive the Monte Carlo
   estimators. The engine enumerates h in numpy chunks and weights each
-  row by its log-multinomial probability. With w = p / q on the support
+  row by its log-multinomial probability (``weighted_histograms``, which
+  also tables the Monte Carlo draw where h takes at most 4096 values). With w = p / q on the support
   of q and S = h . w, the statistics are
 
   - position: sum_j (h_j w_j / n) log(n w_j / S), plus p(hidden) log n;
@@ -127,6 +128,7 @@ def _bounded_vectors(total: int, dim: int) -> Iterator[np.ndarray]:
             out = np.empty((dim, len(idx)), dtype=np.int64)
             out[:-1] = prefix[:, col]
             out[-1] = idx - ends[col] + room[col]
+            del idx, col  # not held while the caller works on the chunk
             yield out
 
 
@@ -148,27 +150,39 @@ def _log_factorials(n: int) -> np.ndarray:
     return table
 
 
+def weighted_histograms(n: int, q: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Every histogram h of n messages over len(q) symbols, in a fixed order
+    and in chunks of at most CHUNK_ROWS: pairs (h, weight) of a (len(q),
+    rows) integer chunk and its multinomial probabilities Mult(h; n, q).
+
+    ``q`` must be positive. The weights come from one lgamma table, so
+    they sum to 1 only up to the table's shared rounding; a reader
+    divides by their sum.
+    """
+    if len(q) == 1:  # one symbol: h = (n) surely, and n may be far beyond any table
+        yield np.full((1, 1), n), np.ones(1)
+        return
+    log_fact = _log_factorials(n)
+    logq = np.log(q)[:, None]
+    for tail in _bounded_vectors(n, len(q) - 1):
+        h = np.empty((len(q), tail.shape[1]), dtype=np.int64)
+        h[0] = n - tail.sum(axis=0)
+        h[1:] = tail
+        yield h, np.exp(log_fact[n] - log_fact[h].sum(axis=0) + (h * logq).sum(axis=0))
+
+
 def _histogram_mean(
     n: int, q: np.ndarray, statistic: Callable[[np.ndarray], np.ndarray]
 ) -> float:
     """E[statistic(h)] for h ~ Mult(n, q), by enumerating every h.
 
     ``statistic`` maps a (len(q), rows) chunk of histograms to one value
-    per histogram. ``q`` must be positive. The multinomial weights come
-    from one lgamma table and are divided by their own sum, so the table's
-    shared rounding cancels. Chunk partials are summed with fsum in a
-    fixed order.
+    per histogram. The weights are divided by their own sum, so the lgamma
+    table's shared rounding cancels. Chunk partials are summed with fsum
+    in a fixed order.
     """
-    if len(q) == 1:  # one symbol: h = (n) surely, and n may be far beyond any table
-        return float(statistic(np.full((1, 1), n))[0])
-    log_fact = _log_factorials(n)
-    logq = np.log(q)[:, None]
     num, den = [], []
-    for tail in _bounded_vectors(n, len(q) - 1):
-        h = np.empty((len(q), tail.shape[1]), dtype=np.int64)
-        h[0] = n - tail.sum(axis=0)
-        h[1:] = tail
-        weight = np.exp(log_fact[n] - log_fact[h].sum(axis=0) + (h * logq).sum(axis=0))
+    for h, weight in weighted_histograms(n, q):
         num.append(float((weight * statistic(h)).sum()))
         den.append(float(weight.sum()))
     return math.fsum(num) / math.fsum(den)

@@ -11,6 +11,17 @@ sample's score sum(target) statistic(h) / lr(h) averages to the form's
 mean. The score is the divergence of the exact posterior from the prior,
 so the only error is statistical; the hidden part is added exactly.
 
+Where h takes at most BLOCK_SIZE values, C(n + m - 1, m - 1) for m
+visible symbols (every row of n <= 8 at m <= 5, and n = 16 at m = 4),
+the same law is drawn from a table instead (``_scorer``): the exact
+driver's enumeration gives every h with its multinomial weight, and
+every h is scored and controlled, once per estimate; each block then
+draws table entries by inverse CDF and gathers their scores. On a
+2-vCPU host one 4096-draw block at m = 4 or 5 costs 0.9-1.2 ms by
+``rng.multinomial`` alone, even at n = 3, and about 0.1 ms from the
+table; a table costs 0.1-0.3 ms to build. Above BLOCK_SIZE values a row
+draws J and the covers as above.
+
 Each score has a control variate subtracted: a quadratic in h whose mean
 under the draw law is exactly 0, with coefficients from central
 differences of the score at the histogram's mean (``_control``). Each
@@ -22,32 +33,43 @@ falls 5-300x at n = 16 and 400-1.6e5x at n = 1024 for the fig2/fig3
 rows. The reported standard error is the plug-in std of the controlled
 scores / sqrt(samples).
 
-A block holds one (symbols, rows) float histogram, converted once from
-the integer draw, and the statistics work one symbol (or input) row at a
-time on vectors of length rows; the control adds one (rows, symbols)
-product. At m = 4 a 4096-row block peaks at 2.5-2.8 times the 128 KiB
-histogram under tracemalloc. More float temporaries of the histogram's
-size made glibc trim and regrow its heap on every block, tens of
-thousands of page faults per preset battery.
+A drawn block holds one (symbols, rows) float histogram, converted once
+from the integer draw, and the statistics work one symbol (or input) row
+at a time on vectors of length rows; the control adds one (rows,
+symbols) product. At m = 4 a 4096-row block peaks at 2.5-3.0 times the
+128 KiB histogram under tracemalloc, a tabled block at 0.8 times. More
+float temporaries of the histogram's size made glibc trim and regrow its
+heap on every block, tens of thousands of page faults per preset
+battery. A table build peaks once per estimate, at 0.16 MiB for n = 16,
+m = 4 and at 0.3-0.6 MiB for the largest tables (4096 values at m = 2,
+3876 at m = 5).
 
 Determinism contract: samples are organized into fixed-size blocks and the
 randomness of block b derives from a counter-based Philox stream keyed by
-(seed, b). The control depends on the form and n only, and each half's
-choice to use it depends only on the other half's draws. Partial sums
-are reduced with exact float summation and the per-block variances are
-merged in block order, so results are bit-identical however the blocks
-are scheduled.
+(seed, b). The control and the table depend on the form and n only, and
+each half's choice to use the control depends only on the other half's
+draws. Partial sums are reduced with exact float summation and the
+per-block variances are merged in block order, so results are
+bit-identical however the blocks are scheduled.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .errors import InvalidParameterError
-from .exact import CHUNK_ROWS, HistogramForm, input_form, message_form, position_form
+from .exact import (
+    CHUNK_ROWS,
+    HistogramForm,
+    input_form,
+    message_form,
+    position_form,
+    weighted_histograms,
+)
 from .mechanisms import Randomizer
 from .probability import Categorical
 
@@ -103,6 +125,11 @@ def _estimate(stat_fn, samples: int, seed: int) -> EstimatorResult:
     return EstimatorResult(math.fsum(sums) / samples, stderr, samples, seed)
 
 
+def _proposal(form: HistogramForm) -> np.ndarray:
+    """tau = target / sum(target), the law of the target's drawn symbol J."""
+    return form.target / form.target.sum()
+
+
 def _score(form: HistogramForm, n: int, h: np.ndarray) -> np.ndarray:
     """sum(target) statistic(h) / lr(h) for a (symbols, rows) histogram chunk
     holding at least one target message."""
@@ -136,7 +163,7 @@ def _control(form: HistogramForm, n: int) -> np.ndarray:
     # the set-up runs once per row on vectors of m entries, where Python
     # floats cost less than numpy calls; the design's scores are one call
     c = (form.cover[:d] / form.cover.sum()).tolist()
-    tau = (form.target[:d] / form.target.sum()).tolist()
+    tau = _proposal(form)[:d].tolist()
     mean = [(n - 1) * x + t for x, t in zip(c, tau)]
     # design counts are multiples of quantum below 2n: 41 bits, summed exactly
     quantum = 2.0 ** (math.frexp(n)[1] - 40)
@@ -207,7 +234,7 @@ def _draw(form: HistogramForm, n: int, rng: np.random.Generator, size: int) -> n
     """A (symbols, size) block of drawn histograms, as floats: every
     product with it would otherwise convert the integer counts again.
     Draw order is fixed: target symbols first, then the cover counts."""
-    cum = np.cumsum(form.target / form.target.sum())
+    cum = np.cumsum(_proposal(form))
     cum[-1] = 1.0
     j = np.minimum(np.searchsorted(cum, rng.random(size), side="right"), len(cum) - 1)
     counts = rng.multinomial(n - 1, form.cover / form.cover.sum(), size=size)
@@ -231,17 +258,73 @@ def _lowers_spread(scores: np.ndarray, ctl: np.ndarray) -> bool:
     return float(ctl @ ctl) < 2 * float(ctl @ scores)
 
 
-def _block_scores(
-    form: HistogramForm, n: int, control: np.ndarray, rng: np.random.Generator, size: int
-) -> np.ndarray:
-    """Scores of one block less the control h'Ah. Each half of the block
-    subtracts it only where it lowers the spread of the other half: a
-    choice independent of the half's own draws, so the control's mean
-    there stays 0."""
-    h = _draw(form, n, rng, size)
-    scores = _score(form, n, h)
-    ctl = _quadratic(control, h)
-    half = size // 2
+def _table(form: HistogramForm, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every histogram of n messages that the draw can reach, as a
+    (symbols, states) float table in the exact driver's order, and the
+    cumulative law of the draw over it: Mult(h; n, c) lr(h) / sum(target)
+    with c the normalised cover, which is sum_j tau_j Mult(h - e_j; n - 1, c).
+    A histogram of law 0 (no target message, or a weight below the
+    smallest float) is left out: it is never drawn, and its score is 0 / 0."""
+    c = form.cover / form.cover.sum()
+    # a table holds at most BLOCK_SIZE <= CHUNK_ROWS histograms: one chunk
+    [(h, weight)] = weighted_histograms(n, c)
+    law = weight * ((_proposal(form) / (n * c)) @ h)
+    reached = law > 0
+    cdf = np.cumsum(law[reached])
+    cdf /= cdf[-1]
+    return h[:, reached].astype(float), cdf
+
+
+def _inverse_cdf(cdf: np.ndarray, rng: np.random.Generator, size: int) -> np.ndarray:
+    """Indices of ``size`` draws from the law whose cumulative sums are
+    ``cdf``: one uniform per draw, searched in the cdf. The uniforms of
+    each half of the block (as ``_block_scores`` splits it) are sorted
+    first. A half contributes its sum, its spread and the control choice
+    it makes for the other half, none of which reads its order, and
+    sorting within a half keeps the halves independent; a sorted search
+    costs a third of an unsorted one."""
+    u = rng.random(size)
+    u[: size // 2].sort()
+    u[size // 2 :].sort()
+    return np.searchsorted(cdf, u, side="right")
+
+
+def _scorer(
+    form: HistogramForm, n: int, control: np.ndarray
+) -> Callable[[np.random.Generator, int], tuple[np.ndarray, np.ndarray]]:
+    """The scores and control values h'Ah of one block of draws, for one
+    form at population n, set up once per estimate.
+
+    When the histogram's C(n + m - 1, m - 1) values are at most
+    BLOCK_SIZE, scoring every value once costs no more than scoring one
+    block, so each block is drawn by inverse CDF over the table and
+    gathers the table's scores and controls. Above BLOCK_SIZE values a
+    block is drawn by ``_draw`` and scored as drawn.
+    """
+    m = len(form.cover)
+    if math.comb(n + m - 1, m - 1) > BLOCK_SIZE:
+
+        def drawn(rng: np.random.Generator, size: int) -> tuple[np.ndarray, np.ndarray]:
+            h = _draw(form, n, rng, size)
+            return _score(form, n, h), _quadratic(control, h)
+
+        return drawn
+    table, cdf = _table(form, n)
+    scores, ctl = _score(form, n, table), _quadratic(control, table)
+
+    def tabled(rng: np.random.Generator, size: int) -> tuple[np.ndarray, np.ndarray]:
+        at = _inverse_cdf(cdf, rng, size)
+        return scores.take(at), ctl.take(at)
+
+    return tabled
+
+
+def _block_scores(scores: np.ndarray, ctl: np.ndarray) -> np.ndarray:
+    """The scores of one block less their control values ``ctl``, in
+    place. Each half of the block subtracts them only where that lowers
+    the spread of the other half: a choice independent of the half's own
+    draws, so the control's mean there stays 0."""
+    half = len(scores) // 2
     first = _lowers_spread(scores[half:], ctl[half:])
     second = _lowers_spread(scores[:half], ctl[:half])
     if first:
@@ -258,10 +341,8 @@ def _sample(form: HistogramForm, n: int, samples: int, seed: int) -> EstimatorRe
         raise InvalidParameterError("samples must be at least 1")
     if not form.target.any():  # every target message is hidden
         return EstimatorResult(form.constant, 0.0, samples, seed)
-    control = _control(form, n)
-    part = _estimate(
-        lambda rng, size: _block_scores(form, n, control, rng, size), samples, seed
-    )
+    block = _scorer(form, n, _control(form, n))
+    part = _estimate(lambda rng, size: _block_scores(*block(rng, size)), samples, seed)
     return EstimatorResult(part.estimate + form.constant, part.stderr, samples, seed)
 
 

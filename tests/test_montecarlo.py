@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.stats import chisquare, multinomial
 
 from shuffleleak import (
     Categorical,
@@ -21,7 +22,7 @@ from shuffleleak import (
     message_mi_exact,
     position_mi_exact,
 )
-from shuffleleak import montecarlo
+from shuffleleak import exact, montecarlo
 from shuffleleak.exact import input_form, message_form, position_form
 from shuffleleak.montecarlo import (
     BLOCK_SIZE,
@@ -31,8 +32,12 @@ from shuffleleak.montecarlo import (
     _control,
     _draw,
     _estimate,
+    _inverse_cdf,
+    _proposal,
     _quadratic,
     _score,
+    _scorer,
+    _table,
 )
 from shuffleleak.runner import preset_configs
 
@@ -43,6 +48,24 @@ U4 = make_uniform(4)
 def no_control(form):
     """The zero control, under which a block holds the plain scores."""
     return np.zeros((len(form.cover), len(form.cover)))
+
+
+def row_estimate(form, n, control, samples, seed):
+    """The driver's controlled estimate of the form's mean part, through
+    the row's own draw."""
+    block = _scorer(form, n, control)
+    return _estimate(lambda rng, size: _block_scores(*block(rng, size)), samples, seed)
+
+
+def plain_block(form, n, seed, size=BLOCK_SIZE):
+    """The plain scores of block 0 of a row at ``seed``."""
+    return _block_scores(*_scorer(form, n, no_control(form))(_block_rng(seed, 0), size))
+
+
+def table_draw(form, n, seed, block, size):
+    """The histograms of one block of a tabled row, as the driver draws them."""
+    table, cdf = _table(form, n)
+    return table[:, _inverse_cdf(cdf, _block_rng(seed, block), size)]
 
 
 def within(est, truth, slack=0.0):
@@ -177,31 +200,31 @@ class TestConsistency:
 class TestPerSampleStatistics:
     def test_position_stats_nonnegative(self):
         form = position_form(ZIPF, U4, 50)
-        stats = _block_scores(form, 50, no_control(form), _block_rng(11, 0), 4096)
+        stats = plain_block(form, 50, 11)
         assert stats.min() >= -1e-12
 
     def test_message_stats_nonnegative(self):
         form = message_form(ZIPF, U4, 50)
-        stats = _block_scores(form, 50, no_control(form), _block_rng(12, 0), 4096)
+        stats = plain_block(form, 50, 12)
         assert stats.min() >= -1e-12
 
     def test_input_stats_nonnegative(self):
         form = input_form(make_krr(4, 1.0), U4, 50)
-        stats = _block_scores(form, 50, no_control(form), _block_rng(13, 0), 4096)
+        stats = plain_block(form, 50, 13)
         assert stats.min() >= -1e-12
 
     def test_stderr_definition(self):
         # the estimate is the mean of the block scores over the same draws,
         # where each half of a block subtracts the control if that lowers
         # the other half's variance, and the stderr is their plug-in std /
-        # sqrt(samples)
+        # sqrt(samples); at n = 8 the histograms come from the table
         r = estimate_message_mi(ZIPF, U4, 8, samples=5000, seed=8)
         form = message_form(ZIPF, U4, 8)
         control = _control(form, 8)
         assert control.any()
         stats = []
         for block, size in [(0, 4096), (1, 904)]:
-            h = _draw(form, 8, _block_rng(8, block), size)
+            h = table_draw(form, 8, 8, block, size)
             score, ctl = _score(form, 8, h), np.einsum("ar,ab,br->r", h, control, h)
             for mine, other in [(slice(0, size // 2), slice(size // 2, size)),
                                 (slice(size // 2, size), slice(0, size // 2))]:
@@ -228,7 +251,7 @@ def drawn_mean(form, n, values=None):
     for j in np.nonzero(form.target)[0]:
         h = covers.copy()
         h[j] += 1
-        p_draw = form.target[j] / form.target.sum() * p_covers
+        p_draw = _proposal(form)[j] * p_covers
         terms.append(float(p_draw @ values(h)))
     return math.fsum(terms)
 
@@ -310,25 +333,18 @@ class TestControlVariate:
         # the presets draw a quarter of the samples the plain score needs
         for cfg, form, _ in preset_rows(16):
             assert cfg.samples < 100_000
-            control = _control(form, 16)
-            controlled = _estimate(
-                lambda rng, size: _block_scores(form, 16, control, rng, size), cfg.samples, 0
-            )
-            plain = _estimate(
-                lambda rng, size: _block_scores(form, 16, no_control(form), rng, size), 100_000, 0
-            )
+            controlled = row_estimate(form, 16, _control(form, 16), cfg.samples, 0)
+            plain = row_estimate(form, 16, no_control(form), 100_000, 0)
             assert controlled.stderr <= plain.stderr, cfg.label
 
-    @pytest.mark.parametrize("n", [4, 16])
+    @pytest.mark.parametrize("n", [4, 16, 32])  # n = 32 is past the table's 4096 states
     def test_z_scores_against_exact(self, n):
         # unbiased, and the plug-in stderr of the controlled scores is calibrated
         for cfg, form, truth in preset_rows(n):
             control = _control(form, n)
             z = []
             for seed in range(30):
-                est = _estimate(
-                    lambda rng, size: _block_scores(form, n, control, rng, size), BLOCK_SIZE, seed
-                )
+                est = row_estimate(form, n, control, BLOCK_SIZE, seed)
                 z.append((est.estimate + form.constant - truth) / est.stderr)
             assert abs(np.mean(z)) < 0.65 and 0.6 < np.std(z, ddof=1) < 1.5, (cfg.label, z)
 
@@ -348,13 +364,8 @@ class TestControlVariate:
         assert not control.any()
         z = []
         for seed in range(30):
-            est = _estimate(
-                lambda rng, size: _block_scores(form, n, control, rng, size), BLOCK_SIZE, seed
-            )
-            plain = _estimate(
-                lambda rng, size: _block_scores(form, n, no_control(form), rng, size),
-                BLOCK_SIZE, seed,
-            )
+            est = row_estimate(form, n, control, BLOCK_SIZE, seed)
+            plain = row_estimate(form, n, no_control(form), BLOCK_SIZE, seed)
             assert est.stderr <= plain.stderr
             z.append((est.estimate + form.constant - truth) / est.stderr)
         assert abs(np.mean(z)) < 0.65 and 0.5 < np.std(z, ddof=1) < 1.5, z
@@ -373,7 +384,7 @@ class TestControlVariate:
             return len(seen) == 1
 
         monkeypatch.setattr(montecarlo, "_lowers_spread", first_only)
-        block = _block_scores(form, 16, control, _block_rng(5, 0), 1000)
+        block = _block_scores(score.copy(), ctl)
         assert np.array_equal(seen[0], score[500:]) and np.array_equal(seen[1], score[:500])
         assert np.array_equal(block[:500], score[:500] - ctl[:500])
         assert np.array_equal(block[500:], score[500:])
@@ -389,8 +400,131 @@ class TestControlVariate:
         h = _draw(form, n, _block_rng(0, 0), BLOCK_SIZE)
         score = _score(form, n, h)
         assert np.var(score - _quadratic(control, h)) > 1.5 * np.var(score)
-        block = _block_scores(form, n, control, _block_rng(0, 0), BLOCK_SIZE)
+        block = _block_scores(score.copy(), _quadratic(control, h))
         assert np.var(block) <= np.var(score)
+
+
+def draw_law(form, n, h):
+    """The reference law sum_j tau_j Mult(h - e_j; n - 1, c) of a drawn
+    histogram h, from scipy's multinomial pmf."""
+    c = form.cover / form.cover.sum()
+    tau = form.target / form.target.sum()
+    terms = []
+    for j in range(len(c)):
+        if h[j] > 0:
+            terms.append(tau[j] * multinomial.pmf(h - np.eye(len(c), dtype=int)[j], n - 1, c))
+    return math.fsum(terms)
+
+
+def every_histogram(n, m):
+    """Every histogram of n messages over m symbols, as tuples."""
+    return [v for v in itertools.product(range(n + 1), repeat=m) if sum(v) == n]
+
+
+TABLE_FORMS = {
+    "zipf-uniform": lambda n: message_form(ZIPF, U4, n),
+    "hidden-cover": lambda n: position_form(P3, Q3_HIDDEN, n),
+    "target-gap": lambda n: message_form(P3_GAP, Q3, n),
+    "input-gaps": lambda n: input_form(R_HIDDEN, PRIOR_GAP, n),
+}
+M2_P, M2_Q = Categorical((1, 2), (0.3, 0.7)), Categorical((1, 2), (0.6, 0.4))
+
+
+class TestTableDraw:
+    @pytest.mark.parametrize("n", [1, 2, 5, 9])
+    @pytest.mark.parametrize("make", TABLE_FORMS.values(), ids=TABLE_FORMS.keys())
+    def test_table_law_is_the_draw_law(self, make, n):
+        # the table holds each histogram the draw can reach once, with its law
+        form = make(n)
+        table, cdf = _table(form, n)
+        law = dict(zip(map(tuple, table.T.astype(int)), np.diff(cdf, prepend=0.0)))
+        assert len(law) == table.shape[1]
+        every = every_histogram(n, len(form.cover))
+        assert math.comb(n + len(form.cover) - 1, n) == len(every)
+        reference = {h: draw_law(form, n, np.array(h)) for h in every}
+        assert set(law) == {h for h, p in reference.items() if p > 0}
+        for h, p in law.items():
+            assert p == pytest.approx(reference[h], abs=1e-12)
+
+    def test_drawn_histograms_pass_chi_square(self):
+        # a visible symbol the target never sends leaves states of law 0
+        n, samples = 6, 100_000
+        form = message_form(P3_GAP, Q3, n)
+        h = np.concatenate(
+            [table_draw(form, n, 7, b, size) for b, size in _blocks(samples)], axis=1
+        ).astype(int)
+        states, counts = np.unique(h, axis=1, return_counts=True)
+        observed = dict(zip(map(tuple, states.T), counts))
+        every = every_histogram(n, len(form.cover))
+        law = np.array([draw_law(form, n, np.array(v)) for v in every])
+        seen = np.array([observed.pop(v, 0) for v in every])
+        assert not observed  # every draw is a histogram of n messages
+        assert (seen[law == 0] == 0).all() and (law == 0).any()
+        possible = law > 0
+        assert (law[possible] * samples >= 5).all()  # no cell too thin for the test
+        assert chisquare(seen[possible], law[possible] * samples).pvalue > 1e-3
+
+    def test_each_half_of_a_block_draws_the_law(self):
+        # the uniforms are sorted within a half, never across the halves,
+        # which would give one half the table's first histograms
+        n = 8
+        form = message_form(ZIPF, U4, n)
+        c, tau = form.cover / form.cover.sum(), form.target / form.target.sum()
+        mean = (n - 1) * c + tau
+        sd = np.sqrt((n - 1) * c * (1 - c) + tau * (1 - tau))
+        h = table_draw(form, n, 3, 0, BLOCK_SIZE)
+        for half in (h[:, : BLOCK_SIZE // 2], h[:, BLOCK_SIZE // 2 :]):
+            z = (half.mean(axis=1) - mean) / (sd / math.sqrt(half.shape[1]))
+            assert (abs(z) < 5).all(), z
+
+    def test_table_up_to_one_block_of_states(self, monkeypatch):
+        # two symbols: n = 4095 has 4096 histograms, n = 4096 one more
+        built = []
+        table = montecarlo._table
+        monkeypatch.setattr(montecarlo, "_table", lambda form, n: built.append(n) or table(form, n))
+        for n in (4095, 4096):
+            form = message_form(M2_P, M2_Q, n)
+            _scorer(form, n, _control(form, n))
+        assert built == [4095]
+        # above the table a row draws by _draw, as before the table existed
+        form = message_form(M2_P, M2_Q, 4096)
+        control = _control(form, 4096)
+        def drawn(rng, size):
+            h = _draw(form, 4096, rng, size)
+            return _block_scores(_score(form, 4096, h), _quadratic(control, h))
+
+        plain = _estimate(drawn, 5000, 3)
+        r = estimate_message_mi(M2_P, M2_Q, 4096, samples=5000, seed=3)
+        assert (r.estimate, r.stderr) == (plain.estimate + form.constant, plain.stderr)
+
+    @pytest.mark.parametrize("n", [4095, 4096])
+    def test_z_scores_at_the_boundary(self, n):
+        for form, truth in [
+            (position_form(M2_P, M2_Q, n), position_mi_exact(M2_P, M2_Q, n)),
+            (message_form(M2_P, M2_Q, n), message_mi_exact(M2_P, M2_Q, n)),
+        ]:
+            control = _control(form, n)
+            z = []
+            for seed in range(30):
+                est = row_estimate(form, n, control, BLOCK_SIZE, seed)
+                z.append((est.estimate + form.constant - truth) / est.stderr)
+            assert abs(np.mean(z)) < 0.65 and 0.6 < np.std(z, ddof=1) < 1.5, z
+
+    def test_one_visible_symbol_builds_no_factorial_table(self, monkeypatch):
+        # the histogram is (n) surely: one state, whatever n is
+        def refuse(*args):
+            raise AssertionError(f"called with {args}")
+
+        monkeypatch.setattr(exact, "_log_factorials", refuse)
+        monkeypatch.setattr(montecarlo, "_draw", refuse)
+        p = Categorical((1, 2), (0.6, 0.4))
+        q = Categorical((1, 2), (1.0, 0.0))
+        n = 10**9
+        r = estimate_position_mi(p, q, n, samples=5000, seed=1)
+        assert r.estimate == pytest.approx(0.4 * math.log(n), rel=1e-12) and r.stderr < 1e-12
+        r = estimate_message_mi(p, q, n, samples=5000, seed=1)
+        assert r.estimate == pytest.approx(-0.6 * math.log(0.6) - 0.4 * math.log(0.4), rel=1e-12)
+        assert r.stderr < 1e-12
 
 
 class TestStableVariance:
@@ -420,10 +554,33 @@ class TestBlockMemory:
         # The control's one (rows, symbols) product follows the statistic.
         histogram = 4 * BLOCK_SIZE * 8  # the block's (symbols, rows) float64 histogram
         for control in (no_control(form), _control(form, 1024)):
-            _block_scores(form, 1024, control, _block_rng(0, 0), BLOCK_SIZE)  # first-call set-up is not counted
+            block = _scorer(form, 1024, control)
+            _block_scores(*block(_block_rng(0, 0), BLOCK_SIZE))  # first-call set-up is not counted
             tracemalloc.start()
             try:
-                _block_scores(form, 1024, control, _block_rng(0, 1), BLOCK_SIZE)
+                _block_scores(*block(_block_rng(0, 1), BLOCK_SIZE))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 3.5 * histogram
+
+    def test_table_build_and_block_are_bounded_by_the_histogram(self):
+        # the largest table, 4096 histograms of two symbols, and a block
+        # drawn from a four-symbol table (969 histograms at n = 16)
+        histogram = 4 * BLOCK_SIZE * 8
+        large = message_form(M2_P, M2_Q, 4095)
+        large_control = _control(large, 4095)
+        small = message_form(ZIPF, U4, 16)
+        block = _scorer(small, 16, _control(small, 16))
+        _scorer(large, 4095, large_control)  # first-call set-up is not counted
+        _block_scores(*block(_block_rng(0, 0), BLOCK_SIZE))
+        for run in (
+            lambda: _scorer(large, 4095, large_control),
+            lambda: _block_scores(*block(_block_rng(0, 1), BLOCK_SIZE)),
+        ):
+            tracemalloc.start()
+            try:
+                run()
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
