@@ -264,7 +264,8 @@ def _table(form: HistogramForm, n: int) -> tuple[np.ndarray, np.ndarray]:
     cumulative law of the draw over it: Mult(h; n, c) lr(h) / sum(target)
     with c the normalised cover, which is sum_j tau_j Mult(h - e_j; n - 1, c).
     A histogram of law 0 (no target message, or a weight below the
-    smallest float) is left out: it is never drawn, and its score is 0 / 0."""
+    smallest float) is left out: it is never drawn, and with no target
+    message its score would divide by lr(h) = 0."""
     c = form.cover / form.cover.sum()
     # a table holds at most BLOCK_SIZE <= CHUNK_ROWS histograms: one chunk
     [(h, weight)] = weighted_histograms(n, c)
