@@ -14,7 +14,7 @@ so the only error is statistical; the hidden part is added exactly.
 Where h takes at most BLOCK_SIZE values, C(n + m - 1, m - 1) for m
 visible symbols (every row of n <= 8 at m <= 5, and n = 16 at m = 4),
 the same law is drawn from a table instead (``_scorer``): the exact
-driver's enumeration gives every h with its multinomial weight, and
+oracles' enumeration gives every h with its multinomial weight, and
 every h is scored and controlled, once per estimate; each block then
 draws table entries by inverse CDF and gathers their scores. On a
 2-vCPU host one 4096-draw block at m = 4 or 5 costs 0.9-1.2 ms by
@@ -260,7 +260,7 @@ def _lowers_spread(scores: np.ndarray, ctl: np.ndarray) -> bool:
 
 def _table(form: HistogramForm, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Every histogram of n messages that the draw can reach, as a
-    (symbols, states) float table in the exact driver's order, and the
+    (symbols, states) float table in the exact oracles' order, and the
     cumulative law of the draw over it: Mult(h; n, c) lr(h) / sum(target)
     with c the normalised cover, which is sum_j tau_j Mult(h - e_j; n - 1, c).
     A histogram of law 0 (no target message, or a weight below the

@@ -51,7 +51,7 @@ def no_control(form):
 
 
 def row_estimate(form, n, control, samples, seed):
-    """The driver's controlled estimate of the form's mean part, through
+    """The estimator's controlled estimate of the form's mean part, through
     the row's own draw."""
     block = _scorer(form, n, control)
     return _estimate(lambda rng, size: _block_scores(*block(rng, size)), samples, seed)
@@ -63,7 +63,7 @@ def plain_block(form, n, seed, size=BLOCK_SIZE):
 
 
 def table_draw(form, n, seed, block, size):
-    """The histograms of one block of a tabled row, as the driver draws them."""
+    """The histograms of one block of a tabled row, as the estimator draws them."""
     table, cdf = _table(form, n)
     return table[:, _inverse_cdf(cdf, _block_rng(seed, block), size)]
 
