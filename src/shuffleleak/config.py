@@ -326,7 +326,7 @@ def ceiling_diagnostics(cfg: ExperimentConfig) -> list[Diagnostic]:
     diags = []
     for n in cfg.n_grid:
         try:
-            exact_cell(cfg, n)[0]()
+            check_states(exact_cell(cfg, n)[0])
         except ResourceLimitError as exc:
             diags.append(Diagnostic("n_grid", f"resource-limit: exact method at n={n}: {exc}"))
     return diags
@@ -339,36 +339,32 @@ def cell_methods(cfg: ExperimentConfig) -> tuple[str, ...]:
     return tuple(c for base in BASE_METHODS if base in selected for c in cell.get(base, ()))
 
 
-def exact_cell(
-    cfg: ExperimentConfig, n: int
-) -> tuple[Callable[[], None], Callable[[], float]]:
-    """The exact method of a config at n, as (ceiling check, oracle call).
+def exact_cell(cfg: ExperimentConfig, n: int) -> tuple[int, Callable[[], float]]:
+    """The exact method of a config at n, as (state count, oracle call).
 
-    The check raises ResourceLimitError, computing nothing, when the cell
-    exceeds the ceiling; the call raises it too, as every exact oracle
-    does, and looks its oracle up in ``exact`` when it runs.
+    The count is the one the oracle checks against the ceiling, computed
+    without running it; the call raises ResourceLimitError, as every exact
+    oracle does, and looks its oracle up in ``exact`` when it runs.
     """
     if "exact" not in CELLS.get((cfg.mode, cfg.quantity), {}):
         raise InvalidParameterError(f"no exact method for {cfg.mode} {cfg.quantity}")
     if cfg.mode == "shuffle_only":
         p, q = cfg.p, cfg.cover
         if cfg.quantity == "IY1" and p.same_mass(q):
-            check = lambda: check_states(states_binomial(p, n))
-            return check, (lambda: exact.matched_message_mi(p, n))
-        check = lambda: check_states(states_shuffle_only(p, q, n))
+            return states_binomial(p, n), (lambda: exact.matched_message_mi(p, n))
+        states = states_shuffle_only(p, q, n)
         if cfg.quantity == "IK":
-            return check, (lambda: exact.position_mi_exact(p, q, n))
-        return check, (lambda: exact.message_mi_exact(p, q, n))
+            return states, (lambda: exact.position_mi_exact(p, q, n))
+        return states, (lambda: exact.message_mi_exact(p, q, n))
     r = cfg.mechanism
     k = len(r.output_labels)
-    count = states_input_mi if cfg.quantity == "IX1" else states_position_dp
-    check = lambda: check_states(count(n, k))
     if cfg.quantity == "IX1":
-        return check, (lambda: exact.input_mi_iid_others(r, cfg.input_prior(), n))
+        return states_input_mi(n, k), (lambda: exact.input_mi_iid_others(r, cfg.input_prior(), n))
+    states = states_position_dp(n, k)
 
     def fixed_inputs():
-        check()  # before the n cycled inputs are built
+        check_states(states)  # before the n cycled inputs are built
         x_inputs = cfg.x_inputs or tuple(islice(cycle(r.input_labels), n))
         return exact.position_mi_fixed_inputs(r, x_inputs)
 
-    return check, fixed_inputs
+    return states, fixed_inputs

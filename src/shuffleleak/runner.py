@@ -4,20 +4,31 @@ Rows are computed independently (each Monte Carlo row owns a seed derived
 from the config seed and the row's position in the plan; other rows take
 no seed), buffered, and emitted in config order, so output bytes do not
 depend on the worker count.
+
+Worker threads run only long cells, those whose driver splits them into
+several pieces of numpy work: a Monte Carlo row of more than one block, or
+an exact cell of more than one enumeration chunk within the ceiling. Two
+such cells can overlap, because numpy releases the interpreter lock inside
+each piece. A short cell takes a few hundred µs and holds the lock nearly
+all the time, so another thread only contends for it. A batch with at
+least two long cells pools them while the calling thread runs the short
+ones; any other batch runs inline.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 import numpy as np
 
 from . import asymptotics as asym
-from . import montecarlo
+from . import exact, montecarlo
 from .config import ExperimentConfig, cell_methods, exact_cell
 from .errors import InvalidParameterError, ResourceLimitError
 from .mechanisms import blanket_of_randomizer, ldp_epsilon, make_krr
@@ -95,11 +106,27 @@ def compute_row(cfg: ExperimentConfig, n: int, method: str, row_seed: int) -> Re
     return ResultRow(cfg.label, n, method, quantity, value, stderr)
 
 
+def _is_long(cfg: ExperimentConfig, n: int, method: str) -> bool:
+    """True for a cell of several pieces of numpy work: a Monte Carlo row of
+    more than one block, or an exact cell of more than one enumeration chunk
+    within the ceiling (a cell over it only raises or is skipped)."""
+    if method == "mc":
+        return cfg.samples > montecarlo.BLOCK_SIZE
+    if method == "exact":
+        return exact.CHUNK_ROWS < exact_cell(cfg, n)[0] <= exact.MAX_STATES
+    return False
+
+
 def run_configs(configs: Sequence[ExperimentConfig], workers: int = 1) -> list[ResultRow]:
     """Run every (n, method) cell of every config, in plan order.
 
     Exact cells are skipped (not errored) when infeasible under the 'all'
     selector; an explicit 'exact' request propagates the resource error.
+    With ``workers`` > 1 and at least two long cells (``_is_long``), a pool
+    of ``workers`` threads runs the long cells while the calling thread runs
+    the others; otherwise every cell runs on the calling thread. A failing
+    batch raises the error of its first failing cell in plan order, as one
+    worker does, and later pooled cells that have not started are cancelled.
     """
     tasks = []
     for ci, cfg in enumerate(configs):
@@ -109,15 +136,57 @@ def run_configs(configs: Sequence[ExperimentConfig], workers: int = 1) -> list[R
                 seed = _derive_seed(cfg.seed, ci, len(tasks)) if method == "mc" else 0
                 tasks.append((cfg, n, method, seed))
 
-    def work(task):
-        return compute_row(*task)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(work, tasks))
+    long = {i for i, task in enumerate(tasks) if _is_long(*task[:3])} if workers > 1 else set()
+    if len(long) < 2:
+        results = [compute_row(*task) for task in tasks]
     else:
-        results = [work(t) for t in tasks]
+        results = _run_pooled(tasks, long, workers)
     return [r for r in results if r is not None]
+
+
+def _run_pooled(tasks: list, long: set[int], workers: int) -> list[ResultRow | None]:
+    """Results of ``tasks`` in plan order. Cells at the ``long`` indices go to
+    ``workers`` threads as the walk reaches them; the rest run inline.
+
+    No cell starts before every cell ahead of it has started, so a failure
+    stops the batch where one worker would: after a failing cell nothing is
+    submitted and the pooled cells that have not started are cancelled.
+    """
+    results: list[ResultRow | None] = [None] * len(tasks)
+    futures = {}
+    lock = threading.Lock()
+    failed = False
+
+    def stop_after(i: int, future) -> None:
+        nonlocal failed
+        if not future.cancelled() and future.exception() is not None:
+            with lock:
+                failed = True
+                # a worker may have taken an earlier cell and not started
+                # it yet, so only later cells are cancelled
+                for j, f in futures.items():
+                    if j > i:
+                        f.cancel()
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        try:
+            for i, task in enumerate(tasks):
+                if i not in long:
+                    results[i] = compute_row(*task)
+                    continue
+                with lock:
+                    if failed:
+                        break
+                    futures[i] = pool.submit(compute_row, *task)
+                futures[i].add_done_callback(partial(stop_after, i))
+        except Exception:
+            for f in futures.values():
+                f.result()  # an earlier pooled cell's error comes first
+            raise
+        # in plan order: the cells cancelled by a failure all come after it
+        for i, f in futures.items():
+            results[i] = f.result()
+    return results
 
 
 def _fmt(value: float) -> str:
