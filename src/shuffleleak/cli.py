@@ -26,6 +26,11 @@ def _parse_file(path: str):
 
 
 def _run_and_emit(configs, workers: int, out: str | None) -> None:
+    # the file is written after the run, so a path that cannot hold it is refused first
+    if out is not None and (Path(out).is_dir() or not Path(out).parent.is_dir()):
+        problem = "is a directory" if Path(out).is_dir() else "is in a missing directory"
+        click.echo(f"output error: {out} {problem}", err=True)
+        sys.exit(2)
     try:
         rows = run_configs(configs, workers=workers)
     except ResourceLimitError as exc:

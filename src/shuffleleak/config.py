@@ -119,14 +119,13 @@ def _literal_kind(lit, path: str, kinds: dict, what: str, diags: list[Diagnostic
     return kind
 
 
-def _number(lit: dict, key: str, integer: bool = False):
-    """``lit[key]`` when it is a JSON integer, or as a float when it is any
+def _number(value, what: str, integer: bool = False):
+    """``value`` when it is a JSON integer, or as a float when it is any
     JSON number and ``integer`` is false; JSON true/false and strings raise."""
-    value = lit[key]
     if _is_int(value) or (not integer and isinstance(value, float)):
         return value if integer else float(value)
     raise InvalidParameterError(
-        f"{key} must be {'an integer' if integer else 'a number'}, got {value!r}"
+        f"{what} must be {'an integer' if integer else 'a number'}, got {value!r}"
     )
 
 
@@ -134,12 +133,12 @@ def parse_distribution(lit, path: str, diags: list[Diagnostic]) -> Categorical |
     kind = _literal_kind(lit, path, DISTRIBUTION_KEYS, "distribution", diags)
     try:
         if kind == "uniform":
-            return make_uniform(_number(lit, "m", integer=True))
+            return make_uniform(_number(lit["m"], "m", integer=True))
         if kind == "zipf":
-            return make_zipf(_number(lit, "m", integer=True), _number(lit, "alpha"))
+            return make_zipf(_number(lit["m"], "m", integer=True), _number(lit["alpha"], "alpha"))
         if kind == "explicit":
             labels = lit.get("labels")
-            probs = lit["probs"]
+            probs = [_number(x, "each probs entry") for x in lit["probs"]]
             if labels is None:
                 labels = list(range(1, len(probs) + 1))
             return Categorical(tuple(_freeze(lab) for lab in labels), probs)
@@ -152,9 +151,11 @@ def parse_mechanism(lit, path: str, diags: list[Diagnostic]) -> Randomizer | Non
     kind = _literal_kind(lit, path, MECHANISM_KEYS, "mechanism", diags)
     try:
         if kind == "krr":
-            return make_krr(_number(lit, "k", integer=True), _number(lit, "eps0"))
+            return make_krr(_number(lit["k"], "k", integer=True), _number(lit["eps0"], "eps0"))
         if kind == "explicit":
-            kernel = lit["kernel"]
+            kernel = [
+                [_number(x, "each kernel entry") for x in row] for row in lit["kernel"]
+            ]
             n_in = len(kernel)
             n_out = len(kernel[0]) if n_in else 0
             ins = lit.get("input_labels", list(range(1, n_in + 1)))

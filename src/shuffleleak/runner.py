@@ -11,18 +11,19 @@ an exact cell of more than one enumeration chunk within the ceiling. Two
 such cells can overlap, because numpy releases the interpreter lock inside
 each piece. A short cell takes a few hundred µs and holds the lock nearly
 all the time, so another thread only contends for it. A batch with at
-least two long cells pools them while the calling thread runs the short
-ones; any other batch runs inline.
+least two long cells runs in two phases: the calling thread first runs the
+short cells in plan order, then a pool runs the long cells (only those
+ahead of the first short cell that raised, if one did). Short cells go
+first so that an inline failure starts no pooled cell; any other batch
+runs inline.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -122,11 +123,13 @@ def run_configs(configs: Sequence[ExperimentConfig], workers: int = 1) -> list[R
 
     Exact cells are skipped (not errored) when infeasible under the 'all'
     selector; an explicit 'exact' request propagates the resource error.
-    With ``workers`` > 1 and at least two long cells (``_is_long``), a pool
-    of ``workers`` threads runs the long cells while the calling thread runs
-    the others; otherwise every cell runs on the calling thread. A failing
-    batch raises the error of its first failing cell in plan order, as one
-    worker does, and later pooled cells that have not started are cancelled.
+    With ``workers`` > 1 and at least two long cells (``_is_long``), the
+    batch runs in two phases: the calling thread runs the other cells in
+    plan order and stops at the first that raises, then a pool of
+    ``workers`` threads runs the long cells ahead of that failure, and
+    after a pooled failure no later pooled cell starts. Otherwise every
+    cell runs on the calling thread. A failing batch raises the error of
+    its first failing cell in plan order, as one worker does.
     """
     tasks = []
     for ci, cfg in enumerate(configs):
@@ -136,57 +139,41 @@ def run_configs(configs: Sequence[ExperimentConfig], workers: int = 1) -> list[R
                 seed = _derive_seed(cfg.seed, ci, len(tasks)) if method == "mc" else 0
                 tasks.append((cfg, n, method, seed))
 
-    long = {i for i, task in enumerate(tasks) if _is_long(*task[:3])} if workers > 1 else set()
+    long = [i for i, task in enumerate(tasks) if _is_long(*task[:3])] if workers > 1 else []
     if len(long) < 2:
-        results = [compute_row(*task) for task in tasks]
-    else:
-        results = _run_pooled(tasks, long, workers)
-    return [r for r in results if r is not None]
-
-
-def _run_pooled(tasks: list, long: set[int], workers: int) -> list[ResultRow | None]:
-    """Results of ``tasks`` in plan order. Cells at the ``long`` indices go to
-    ``workers`` threads as the walk reaches them; the rest run inline.
-
-    No cell starts before every cell ahead of it has started, so a failure
-    stops the batch where one worker would: after a failing cell nothing is
-    submitted and the pooled cells that have not started are cancelled.
-    """
+        long = []
     results: list[ResultRow | None] = [None] * len(tasks)
-    futures = {}
-    lock = threading.Lock()
-    failed = False
-
-    def stop_after(i: int, future) -> None:
-        nonlocal failed
-        if not future.cancelled() and future.exception() is not None:
-            with lock:
-                failed = True
-                # a worker may have taken an earlier cell and not started
-                # it yet, so only later cells are cancelled
-                for j, f in futures.items():
-                    if j > i:
-                        f.cancel()
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    failure = None
+    pooled = set(long)
+    for i, task in enumerate(tasks):
+        if i in pooled:
+            continue
         try:
-            for i, task in enumerate(tasks):
-                if i not in long:
-                    results[i] = compute_row(*task)
-                    continue
-                with lock:
-                    if failed:
-                        break
-                    futures[i] = pool.submit(compute_row, *task)
-                futures[i].add_done_callback(partial(stop_after, i))
-        except Exception:
-            for f in futures.values():
-                f.result()  # an earlier pooled cell's error comes first
-            raise
-        # in plan order: the cells cancelled by a failure all come after it
-        for i, f in futures.items():
-            results[i] = f.result()
-    return results
+            results[i] = compute_row(*task)
+        except Exception as exc:
+            failure = exc
+            long = [j for j in long if j < i]
+            break
+
+    if long:
+        stop = [len(tasks)]  # the plan index of the first pooled failure
+
+        def run_long(i: int) -> ResultRow | None:
+            if i > stop[0]:
+                return None  # behind a failure: its error is raised first
+            try:
+                return compute_row(*tasks[i])
+            except Exception:
+                stop[0] = min(stop[0], i)
+                raise
+
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            # results arrive in plan order, so the first pooled error wins
+            for i, row in zip(long, pool.map(run_long, long)):
+                results[i] = row
+    if failure is not None:
+        raise failure
+    return [r for r in results if r is not None]
 
 
 def _fmt(value: float) -> str:

@@ -21,7 +21,7 @@ from shuffleleak.config import (
     parse_config,
     validate_config,
 )
-from shuffleleak import montecarlo
+from shuffleleak import montecarlo, runner
 from shuffleleak.runner import (
     PRESET_SAMPLES,
     ResultRow,
@@ -230,6 +230,8 @@ class TestNestedLiterals:
         {"type": "zipf", "m": False, "alpha": 0.7},
         {"type": "zipf", "m": 4, "alpha": True},
         {"type": "zipf", "m": 4, "alpha": "0.7"},
+        {"type": "explicit", "probs": [0.5, "0.5"]},
+        {"type": "explicit", "probs": [True, False]},
     ])
     def test_distribution_numbers(self, literal):
         cfg, diags = parse_config(make_doc(Q=literal))
@@ -240,6 +242,8 @@ class TestNestedLiterals:
         {"type": "krr", "k": True, "eps0": 1.0},
         {"type": "krr", "k": 4, "eps0": False},
         {"type": "krr", "k": 4, "eps0": 1000},  # e^eps0 overflows
+        {"type": "explicit", "kernel": [[True, False], [False, True]]},
+        {"type": "explicit", "kernel": [[1.0, "0"], [0.0, 1.0]]},
     ])
     def test_mechanism_numbers(self, mechanism):
         cfg, diags = parse_config(self.dp_doc(mechanism))
@@ -532,6 +536,20 @@ class TestCli:
         result = CliRunner().invoke(main, ["preset", "fig1", "--out", str(out)])
         assert result.exit_code == 0
         assert out.read_text().count("\n") == 49  # header + 48 rows
+
+    @pytest.mark.parametrize("command", ["run", "preset"])
+    @pytest.mark.parametrize("bad_out", ["directory", "missing_parent"])
+    def test_bad_out_exits_2_before_any_cell_runs(self, tmp_path, monkeypatch, command, bad_out):
+        calls = []
+        monkeypatch.setattr(runner, "compute_row", lambda *cell: calls.append(cell))
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(make_doc(samples=300)))
+        out = tmp_path if bad_out == "directory" else tmp_path / "absent" / "out.csv"
+        args = ["run", "--config", str(path)] if command == "run" else ["preset", "fig1"]
+        result = CliRunner().invoke(main, [*args, "--out", str(out)])
+        assert result.exit_code == 2 and isinstance(result.exception, SystemExit)
+        assert calls == [] and not (tmp_path / "absent").exists()
+        assert result.stderr.startswith("output error: ") and result.stderr.count("\n") == 1
 
 
 class TestHugeStateCounts:

@@ -128,22 +128,35 @@ class TestFailures:
         # the failing cell, and at most the one the other thread had taken
         assert 1 <= len(calls) <= 2 and calls[0][0] == 10
 
-    @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_the_first_failing_cell_in_plan_order_wins(self, monkeypatch, workers):
+    @pytest.mark.parametrize("workers,failing", [
         # the pooled mc cell at n = 11 fails after the inline asym cell at
         # n = 11 behind it has failed too; its error is the one raised
+        *(pytest.param(w, {(11, "mc"): ValueError, (11, "asym"): KeyError}, id=str(w))
+          for w in (1, 2, 4)),
+        # only the inline asym cell at n = 11 fails, behind long cells that
+        # succeed
+        *(pytest.param(w, {(11, "asym"): KeyError}, id=f"inline-{w}") for w in (1, 2, 4)),
+    ])
+    def test_the_first_failing_cell_in_plan_order_wins(self, monkeypatch, workers, failing):
         def fake(cfg, n, method):
-            if (n, method) == (11, "mc"):
-                time.sleep(0.05)
-                raise ValueError("mc 11")
-            if (n, method) == (11, "asym"):
-                raise KeyError("asym 11")
+            if (n, method) in failing:
+                if method == "mc":
+                    time.sleep(0.05)
+                raise failing[n, method](f"{method} {n}")
             return plain_row(cfg, n, method)
 
         calls = recorded(monkeypatch, fake)
-        with pytest.raises(ValueError, match="mc 11"):
-            run_configs([mc_config((10, 11, 12), method="mc+asym")], workers=workers)
-        assert (12, "mc") not in {(n, m) for n, m, _ in calls}
+        batch = [mc_config((10, 11, 12), method="mc+asym")]
+        if (11, "mc") in failing:
+            with pytest.raises(ValueError, match="mc 11"):
+                run_configs(batch, workers=workers)
+            assert (12, "mc") not in {(n, m) for n, m, _ in calls}
+        else:
+            with pytest.raises(KeyError, match="asym 11"):
+                run_configs(batch, workers=workers)
+            assert {(n, m) for n, m, _ in calls} == {
+                (10, "mc"), (10, "asym"), (11, "mc"), (11, "asym"),
+            }
 
     def test_stress_with_more_workers_than_cores(self, monkeypatch):
         # a short switch interval makes the pool threads and the calling
