@@ -10,15 +10,13 @@ from .asymptotics import (
     clone_message_bound,
     cover_constant,
     input_mi_dp_bound,
-    matched_message_rate,
     mean_chi2,
     message_mi_expansion,
-    mixed_signal_rate,
     optimal_cover,
     optimal_cover_constant,
     position_mi_dp_bound,
     position_mi_expansion,
-    row_mixture,
+    signal_rate,
 )
 from .errors import (
     AbsoluteContinuityError,

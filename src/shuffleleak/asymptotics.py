@@ -2,9 +2,9 @@
 
 Expansion functions return an :class:`AsymptoticTerm` holding the
 coefficients separately, so callers can print or test each coefficient
-and evaluate the expansion on any population-size grid. Remainder
-constants are never estimated: the ``remainder_order`` tag records the
-order of the neglected term and nothing more.
+and evaluate the expansion on any population-size grid; remainder terms
+are not estimated. ``signal_rate`` is the one leading form of input
+leakage, whatever laws the other users send from.
 """
 
 from __future__ import annotations
@@ -27,12 +27,11 @@ from .probability import (
 
 @dataclass(frozen=True)
 class AsymptoticTerm:
-    """Expansion a + b log n + c / n with a remainder of known order."""
+    """Expansion a + b log n + c / n, less a remainder of smaller order."""
 
     constant_term: float
     log_n_coefficient: float
     inv_n_coefficient: float
-    remainder_order: str = "n^-3/2"
 
     def evaluate(self, n: int) -> float:
         if n < 1:
@@ -42,15 +41,6 @@ class AsymptoticTerm:
             + self.log_n_coefficient * math.log(n)
             + self.inv_n_coefficient / n
         )
-
-
-def matched_message_rate(m: int, n: int) -> float:
-    """Leading message leakage (m - 1) / (2n) when covers match the target."""
-    if m < 1:
-        raise InvalidParameterError("m must be a positive integer")
-    if n < 1:
-        raise InvalidParameterError("n must be at least 1")
-    return (m - 1) / (2.0 * n)
 
 
 def position_mi_expansion(p: Categorical, q: Categorical) -> AsymptoticTerm:
@@ -170,22 +160,32 @@ def mean_chi2(prior: Categorical, r: Randomizer, q: Categorical) -> float:
     return total
 
 
-def row_mixture(prior: Categorical, r: Randomizer) -> Categorical:
-    """Output marginal of the randomizer under ``prior``."""
-    vec = np.zeros(len(r.output_labels))
-    for x in prior.support():
-        vec += prior.prob(x) * r.row(x)
-    return Categorical(r.output_labels, vec)
+def signal_rate(px, rows, others, counts) -> float:
+    """Leading input leakage 1/2 tr(Sigma^-1 C) of a signal pooled with others.
 
-
-def mixed_signal_rate(prior: Categorical, r: Randomizer, q: Categorical, s: int) -> float:
-    """Leading input leakage of one randomized signal pooled with s cover draws.
-
-    (mean chi2 of rows from q - chi2 of the row mixture from q) divided by
-    2 (s + 1). Requires q positive wherever any row has mass.
+    A signal x ~ ``px`` sends one message from ``rows[x]`` and ``counts[i]``
+    users one each from ``others[i]``, over one alphabet. Sigma is the pooled
+    histogram's covariance cov(rbar) + sum_i counts_i cov(others_i), with
+    cov(r) = diag r - r r^T and rbar = px . rows, and C = sum_x px_x
+    (rows_x - rbar)(rows_x - rbar)^T (Clarke & Barron 1990), both on the
+    symbols some user sends less one per group of symbols the laws link (as
+    a rule one group, of count n). Exact values are within O(n^-2). Rows
+    with px_x = 0 are ignored; one that sends a symbol no law in ``others``
+    sends raises AbsoluteContinuityError.
     """
-    if s < 0:
-        raise InvalidParameterError("s must be nonnegative")
-    chi_bar = mean_chi2(prior, r, q)
-    mix = row_mixture(prior, r)
-    return (chi_bar - chi2_divergence(mix, q)) / (2.0 * (s + 1))
+    px = np.asarray(px, dtype=float)
+    px, rows = px[px > 0], np.asarray(rows, dtype=float)[px > 0]
+    others = np.asarray(others, dtype=float).reshape(-1, rows.shape[1])
+    counts = np.asarray(counts, dtype=float)
+    if counts.shape != others.shape[:1] or np.any(counts < 0):
+        raise InvalidParameterError("counts must be one nonnegative count per law in others")
+    if np.any(rows[:, ~others.any(axis=0)] > 0):
+        raise AbsoluteContinuityError("a signal row sends a symbol no other user sends")
+    mix = px @ rows
+    sigma = np.diag(mix + counts @ others) - np.outer(mix, mix) - (others.T * counts) @ others
+    dev = rows - mix
+    spread = dev.T @ (px[:, None] * dev)
+    sends = np.vstack([mix, others[counts > 0]]) > 0
+    link = np.linalg.matrix_power(sends.T @ sends, len(mix))
+    keep = np.tril(link, -1).any(axis=1)  # all but the first symbol of each linked group
+    return 0.5 * float(np.trace(np.linalg.solve(sigma[keep][:, keep], spread[keep][:, keep])))

@@ -26,7 +26,7 @@ from .exact import (
     states_shuffle_only,
 )
 from .mechanisms import Randomizer, make_krr
-from .montecarlo import DEFAULT_SAMPLES
+from .montecarlo import DEFAULT_SAMPLES, MAX_N
 from .probability import Categorical, make_uniform, make_zipf
 
 MODES = ("shuffle_only", "shuffle_dp")
@@ -75,12 +75,8 @@ class ExperimentConfig:
     label: str = ""
 
     def with_overrides(self, samples=None, seed=None) -> "ExperimentConfig":
-        cfg = self
-        if samples is not None:
-            cfg = replace(cfg, samples=samples)
-        if seed is not None:
-            cfg = replace(cfg, seed=seed)
-        return cfg
+        return replace(self, samples=self.samples if samples is None else samples,
+                       seed=self.seed if seed is None else seed)
 
     @property
     def cover(self) -> Categorical | None:
@@ -238,6 +234,10 @@ def parse_config(doc) -> tuple[ExperimentConfig | None, list[Diagnostic]]:
         )
         method = "all"
 
+    label = doc.get("label", "")
+    if not isinstance(label, str):
+        diags.append(Diagnostic("label", "must be a string"))
+
     x_inputs = doc.get("x_inputs")
     if x_inputs is not None:
         if not isinstance(x_inputs, list) or not x_inputs:
@@ -258,7 +258,7 @@ def parse_config(doc) -> tuple[ExperimentConfig | None, list[Diagnostic]]:
         samples=samples,
         seed=seed,
         method=method,
-        label=str(doc.get("label", "")),
+        label=str(label),
     )
     # a required literal that was given but is invalid has its own
     # diagnostic, so the requirement that it be there is not reported again
@@ -308,6 +308,8 @@ def validate_config(cfg: ExperimentConfig) -> list[Diagnostic]:
                                f"equal to its length {len(cfg.x_inputs)}")
                 )
 
+    if "mc" in cell_methods(cfg) and any(n > MAX_N for n in cfg.n_grid):
+        diags.append(Diagnostic("n_grid", "Monte Carlo needs every n at most 2^63"))
     if cfg.method != "all":
         cell = CELLS.get((cfg.mode, cfg.quantity), {})
         diags.extend(

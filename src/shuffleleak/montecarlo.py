@@ -76,6 +76,7 @@ from .probability import Categorical
 BLOCK_SIZE = 4096
 DEFAULT_SAMPLES = 100_000  # samples per estimate when a config or call gives none
 MIN_STEP = 0.125  # smallest design step of the control, in counts
+MAX_N = 1 << 63  # the n - 1 cover counts of a draw are an int64
 
 _MASK64 = (1 << 64) - 1
 
@@ -86,12 +87,8 @@ def _block_rng(seed: int, block: int) -> np.random.Generator:
 
 
 def _blocks(samples: int):
-    start = 0
-    block = 0
-    while start < samples:
+    for block, start in enumerate(range(0, samples, BLOCK_SIZE)):
         yield block, min(BLOCK_SIZE, samples - start)
-        start += BLOCK_SIZE
-        block += 1
 
 
 @dataclass(frozen=True)
@@ -105,8 +102,6 @@ class EstimatorResult:
 
 
 def _estimate(stat_fn, samples: int, seed: int) -> EstimatorResult:
-    if samples < 1:
-        raise InvalidParameterError("samples must be at least 1")
     sums = []
     count, mean, m2 = 0, 0.0, 0.0
     for block, size in _blocks(samples):
@@ -238,8 +233,9 @@ def _draw(form: HistogramForm, n: int, rng: np.random.Generator, size: int) -> n
     cum[-1] = 1.0
     j = np.minimum(np.searchsorted(cum, rng.random(size), side="right"), len(cum) - 1)
     counts = rng.multinomial(n - 1, form.cover / form.cover.sum(), size=size)
-    counts[np.arange(size), j] += 1
-    return counts.astype(float).T
+    h = counts.astype(float).T
+    h[j, np.arange(size)] += 1.0  # in float: at n = MAX_N an int64 count could overflow
+    return h
 
 
 def _quadratic(a: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -340,6 +336,8 @@ def _sample(form: HistogramForm, n: int, samples: int, seed: int) -> EstimatorRe
     scores."""
     if samples < 1:
         raise InvalidParameterError("samples must be at least 1")
+    if n > MAX_N:
+        raise InvalidParameterError("Monte Carlo needs n at most 2^63")
     if not form.target.any():  # every target message is hidden
         return EstimatorResult(form.constant, 0.0, samples, seed)
     block = _scorer(form, n, _control(form, n))

@@ -92,7 +92,8 @@ def compute_row(cfg: ExperimentConfig, n: int, method: str, row_seed: int) -> Re
             est = montecarlo.estimate_input_mi(r, prior, n, cfg.samples, row_seed)
             value, stderr = est.estimate, est.stderr
         elif method == "asym":
-            value = asym.mixed_signal_rate(prior, r, asym.row_mixture(prior, r), n - 1)
+            px = exact._prior_vector(prior, r.input_labels)
+            value = asym.signal_rate(px, r.kernel, [px @ r.kernel], [n - 1])
         elif method == "bound_unified":
             value = asym.input_mi_dp_bound(ldp_epsilon(r), n)
         elif method == "bound_blanket":
@@ -212,7 +213,7 @@ def preset_configs(name: str, samples: int | None = None, seed: int | None = Non
     leading rate, for uniform and Zipf targets. fig2: Zipf target against
     uniform, matched, and optimal covers (Monte Carlo vs expansions).
     fig3: 4-ary randomized response at eps0 = 1 with uniform inputs
-    (Monte Carlo vs the mixed-signal rate and the DP-derived bounds).
+    (Monte Carlo vs the leading rate signal_rate and the DP-derived bounds).
     Monte Carlo rows draw PRESET_SAMPLES unless ``samples`` is given.
     """
     zipf = make_zipf(4, 0.7)

@@ -129,6 +129,27 @@ class TestValidation:
         _, diags = parse_config(make_doc(**{key: value}))
         assert [d.field for d in diags] == [key]
 
+    @pytest.mark.parametrize("label", [None, ["a", "b"], 3, True])
+    def test_label_must_be_a_string(self, tmp_path, label):
+        _, diags = parse_config(make_doc(label=label))
+        assert [str(d) for d in diags] == ["label: must be a string"]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(make_doc(label=label)))
+        result = CliRunner().invoke(main, ["run", "--config", str(path)])
+        assert result.exit_code == 2 and result.stderr == "label: must be a string\n"
+
+    @pytest.mark.parametrize("method", ["mc", "all"])
+    def test_monte_carlo_beyond_int64_exits_2(self, tmp_path, method):
+        # the n - 1 cover counts of a draw are an int64
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(make_doc(n_grid=[4, 10**20], method=method)))
+        for command in ("validate", "run"):
+            result = CliRunner().invoke(main, [command, "--config", str(path)])
+            assert result.exit_code == 2 and isinstance(result.exception, SystemExit)
+            assert "n_grid: Monte Carlo needs every n at most 2^63\n" in result.output
+        assert parse_config(make_doc(n_grid=[2**63], method="mc"))[1] == []
+        assert parse_config(make_doc(n_grid=[10**20], method="asym"))[1] == []
+
     @pytest.mark.parametrize("field,literal", [
         ("P", {"type": "zipf", "m": 4, "alpha": math.nan}),
         ("Q", {"type": "explicit", "probs": [math.nan, 0.5, 0.5]}),

@@ -25,10 +25,9 @@ from shuffleleak import (
     message_mi_exact,
     message_mi_expansion,
     message_minus_position_mi,
-    mixed_signal_rate,
     position_mi_exact,
     position_mi_fixed_inputs,
-    row_mixture,
+    signal_rate,
 )
 from shuffleleak import exact
 from shuffleleak.exact import states_shuffle_only
@@ -390,7 +389,8 @@ class TestHistogramEngine:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             v = input_mi_iid_others(r, prior, n)
-        rate = mixed_signal_rate(prior, r, row_mixture(prior, r), n - 1)
+        px = np.asarray(prior.probs)
+        rate = signal_rate(px, r.kernel, [px @ r.kernel], [n - 1])
         assert math.isfinite(v)
         assert v == pytest.approx(rate, rel=1e-4)
 

@@ -132,6 +132,19 @@ class TestDegenerate:
         with pytest.raises(InvalidParameterError):
             estimate_position_mi(U4, U4, 5, samples=0, seed=0)
 
+    def test_population_beyond_int64_is_refused(self):
+        # the n - 1 cover counts of a draw are an int64
+        for estimate in (estimate_position_mi, estimate_message_mi):
+            with pytest.raises(InvalidParameterError):
+                estimate(ZIPF, U4, 2**63 + 1, samples=10, seed=0)
+        with pytest.raises(InvalidParameterError):
+            estimate_input_mi(make_krr(4, 1.0), U4, 10**20, samples=10, seed=0)
+        # n = 2^63 still draws: nearly every cover lands on symbol 1 here,
+        # so the target's message must not be added to an int64 count
+        p, q = Categorical((1, 2), (0.5, 0.5)), Categorical((1, 2), (1.0, 1e-300))
+        r = estimate_message_mi(p, q, 2**63, samples=200, seed=0)
+        assert r.estimate == pytest.approx(math.log(2), rel=1e-12)
+
     def test_input_support_violation(self):
         # only an input without prior mass can put a row's mass outside the
         # output marginal, and the input form drops it
