@@ -178,14 +178,15 @@ def _is_int(value) -> bool:
 def parse_config(doc) -> tuple[ExperimentConfig | None, list[Diagnostic]]:
     """Build a config from a parsed JSON document, collecting diagnostics.
 
-    Returns (config, diagnostics); the config is None when the document is
-    too malformed to interpret. A parseable config may still carry
-    diagnostics; it is runnable only when the list is empty.
+    Returns (config, diagnostics). Keys, literals and field values are
+    checked first; if any fails, the config is None and those are the
+    diagnostics. Otherwise the config holds the values given, and the
+    diagnostics are ``validate_config``'s semantic checks of it; it is
+    runnable only when the list is empty.
     """
-    diags: list[Diagnostic] = []
     if not isinstance(doc, dict):
         return None, [Diagnostic("$", "config must be a JSON object")]
-    diags.extend(Diagnostic(str(key), "unknown key") for key in doc if key not in KEYS)
+    diags = [Diagnostic(str(key), "unknown key") for key in doc if key not in KEYS]
 
     mode = doc.get("mode", "shuffle_only")
     if mode not in MODES:
@@ -214,17 +215,14 @@ def parse_config(doc) -> tuple[ExperimentConfig | None, list[Diagnostic]]:
         or any(not _is_int(n) or n < 1 for n in n_grid)
     ):
         diags.append(Diagnostic("n_grid", "must be a nonempty list of positive integers"))
-        n_grid = [n for n in n_grid if _is_int(n) and n >= 1] if isinstance(n_grid, list) else []
 
     samples = doc.get("samples", DEFAULT_SAMPLES)
     if not _is_int(samples) or samples < 1:
         diags.append(Diagnostic("samples", "must be a positive integer"))
-        samples = max(1, samples if _is_int(samples) else 1)
 
     seed = doc.get("seed", 0)
     if not _is_int(seed):
         diags.append(Diagnostic("seed", "must be an integer"))
-        seed = 0
 
     method = doc.get("method", "all")
     if method != "all" and any(m not in BASE_METHODS for m in str(method).split("+")):
@@ -232,7 +230,6 @@ def parse_config(doc) -> tuple[ExperimentConfig | None, list[Diagnostic]]:
             Diagnostic("method", "must be 'all' or a '+'-joined subset of "
                        f"{BASE_METHODS}")
         )
-        method = "all"
 
     label = doc.get("label", "")
     if not isinstance(label, str):
@@ -240,32 +237,22 @@ def parse_config(doc) -> tuple[ExperimentConfig | None, list[Diagnostic]]:
 
     x_inputs = doc.get("x_inputs")
     if x_inputs is not None:
-        if not isinstance(x_inputs, list) or not x_inputs:
-            diags.append(Diagnostic("x_inputs", "must be a nonempty list"))
-            x_inputs = None
-        else:
-            x_inputs = tuple(_freeze(x) for x in x_inputs)
+        x_inputs = tuple(map(_freeze, x_inputs)) if isinstance(x_inputs, list) else ()
+        try:
+            hash(x_inputs)  # every input is a label
+        except TypeError:
+            x_inputs = ()
+        if not x_inputs:
+            diags.append(Diagnostic("x_inputs", "must be a nonempty list of input labels"))
 
+    if diags:
+        return None, diags
     cfg = ExperimentConfig(
-        mode=mode if mode in MODES else "shuffle_only",
-        quantity=quantity if quantity in QUANTITIES else "IY1",
-        p=p,
-        q=q,
-        mechanism=mechanism,
-        prior=prior,
-        x_inputs=x_inputs,
-        n_grid=tuple(n_grid),
-        samples=samples,
-        seed=seed,
-        method=method,
-        label=str(label),
+        mode=mode, quantity=quantity, p=p, q=q, mechanism=mechanism, prior=prior,
+        x_inputs=x_inputs, n_grid=tuple(n_grid), samples=samples, seed=seed,
+        method=method, label=label,
     )
-    # a required literal that was given but is invalid has its own
-    # diagnostic, so the requirement that it be there is not reported again
-    required = "P" if cfg.mode == "shuffle_only" else "mechanism"
-    given = required in doc or required.lower() in doc
-    diags.extend(d for d in validate_config(cfg) if not (given and d.field == required))
-    return cfg, diags
+    return cfg, validate_config(cfg)
 
 
 def validate_config(cfg: ExperimentConfig) -> list[Diagnostic]:

@@ -11,13 +11,13 @@ is routed through a placeholder symbol ``BOT`` and restored by
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Hashable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import InvalidInputError, InvalidParameterError
-from .probability import PROB_SUM_TOL, Categorical, union_labels
+from .probability import Categorical, union_labels
 
 
 class _Bottom:
@@ -47,13 +47,13 @@ class Randomizer:
         Ordered alphabets.
     kernel : 2-d array
         ``kernel[i, j]`` is the probability of output ``output_labels[j]``
-        on input ``input_labels[i]``. Entries are nonnegative and each row
-        sums to 1 within tolerance (renormalized once).
+        on input ``input_labels[i]``. Each row is checked and renormalized
+        once as a :class:`Categorical`, which ``row_dist`` returns.
     """
 
-    input_labels: tuple = ()
-    output_labels: tuple = ()
-    kernel: np.ndarray = field(default_factory=lambda: np.eye(1))
+    input_labels: tuple
+    output_labels: tuple
+    kernel: np.ndarray
 
     def __init__(self, input_labels, output_labels, kernel):
         input_labels = tuple(input_labels)
@@ -63,32 +63,22 @@ class Randomizer:
             raise InvalidParameterError("kernel shape must match alphabets")
         if len(set(input_labels)) != len(input_labels):
             raise InvalidParameterError("input labels must be distinct")
-        if len(set(output_labels)) != len(output_labels):
-            raise InvalidParameterError("output labels must be distinct")
-        if not np.all(np.isfinite(kernel)):
-            raise InvalidParameterError("kernel entries must be finite")
-        if np.any(kernel < 0):
-            raise InvalidParameterError("kernel entries must be nonnegative")
-        sums = kernel.sum(axis=1)
-        if np.any(np.abs(sums - 1.0) > PROB_SUM_TOL):
-            raise InvalidParameterError("kernel rows must sum to 1")
-        kernel = kernel / sums[:, None]
+        rows = {x: Categorical(output_labels, row) for x, row in zip(input_labels, kernel)}
+        kernel = np.array([row.probs for row in rows.values()]).reshape(kernel.shape)
         kernel.flags.writeable = False
         object.__setattr__(self, "input_labels", input_labels)
         object.__setattr__(self, "output_labels", output_labels)
         object.__setattr__(self, "kernel", kernel)
-        object.__setattr__(
-            self, "_in_index", {lab: i for i, lab in enumerate(input_labels)}
-        )
+        object.__setattr__(self, "_rows", rows)
 
     def row(self, x: Hashable) -> np.ndarray:
-        i = self._in_index.get(x)
-        if i is None:
-            raise InvalidInputError(f"unknown input symbol {x!r}")
-        return self.kernel[i]
+        return self.row_dist(x).probs
 
     def row_dist(self, x: Hashable) -> Categorical:
-        return Categorical(self.output_labels, self.row(x))
+        row = self._rows.get(x)
+        if row is None:
+            raise InvalidInputError(f"unknown input symbol {x!r}")
+        return row
 
 
 def make_krr(k: int, eps0: float) -> Randomizer:

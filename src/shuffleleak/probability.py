@@ -6,7 +6,7 @@ logarithm), and the convention 0*log(0) = 0 applies everywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Hashable, Iterable, Sequence
 
 import numpy as np
@@ -36,8 +36,8 @@ class Categorical:
     position.
     """
 
-    labels: tuple = ()
-    probs: np.ndarray = field(default_factory=lambda: np.array([]))
+    labels: tuple
+    probs: np.ndarray
 
     def __init__(self, labels: Sequence[Hashable], probs: Sequence[float]):
         labels = tuple(labels)

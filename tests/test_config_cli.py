@@ -168,6 +168,33 @@ class TestValidation:
         _, diags = parse_config(make_doc(quantity="IX1"))
         assert any(d.field == "quantity" for d in diags)
 
+    def test_field_diagnostics_come_alone(self, tmp_path):
+        # the mode-dependent checks wait until every field parses
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**DP_KRR2, "mode": "shuffle-dp", "quantity": "IX1",
+                                    "n_grid": [16], "method": "mc"}))
+        result = CliRunner().invoke(main, ["validate", "--config", str(path)])
+        assert result.exit_code == 2
+        assert result.output == "mode: must be one of ('shuffle_only', 'shuffle_dp')\n"
+
+    def test_invalid_method_plans_no_monte_carlo(self):
+        cfg, diags = parse_config(make_doc(method="exact+asymp", n_grid=[16, 2**64]))
+        assert cfg is None and [d.field for d in diags] == ["method"]
+
+    @pytest.mark.parametrize("x_inputs", [
+        [], "1", [{"a": 1}, 2, 3], [[1, [2]], 2, 3], [[{"a": 1}], 2, 3],
+    ])
+    def test_x_inputs_must_be_labels(self, tmp_path, x_inputs):
+        doc = {**DP_KRR2, "quantity": "IK", "n_grid": [3], "x_inputs": x_inputs}
+        expected = "x_inputs: must be a nonempty list of input labels"
+        assert [str(d) for d in parse_config(doc)[1]] == [expected]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        for command in ("validate", "run"):
+            result = CliRunner().invoke(main, [command, "--config", str(path)])
+            assert result.exit_code == 2 and isinstance(result.exception, SystemExit)
+            assert expected in result.output
+
     def test_x_inputs_length_must_match_grid(self):
         cfg = ExperimentConfig(
             mode="shuffle_dp", quantity="IK", mechanism=make_krr(2, 1.0),
@@ -256,7 +283,7 @@ class TestNestedLiterals:
     ])
     def test_distribution_numbers(self, literal):
         cfg, diags = parse_config(make_doc(Q=literal))
-        assert [d.field for d in diags] == ["Q"] and cfg.q is None
+        assert [d.field for d in diags] == ["Q"] and cfg is None
 
     @pytest.mark.parametrize("mechanism", [
         {"type": "krr", "k": 4.0, "eps0": 1.0},
@@ -268,7 +295,7 @@ class TestNestedLiterals:
     ])
     def test_mechanism_numbers(self, mechanism):
         cfg, diags = parse_config(self.dp_doc(mechanism))
-        assert "mechanism" in {d.field for d in diags} and cfg.mechanism is None
+        assert "mechanism" in {d.field for d in diags} and cfg is None
 
     def test_integer_alpha_and_eps0_are_numbers(self):
         cfg, diags = parse_config(make_doc(P={"type": "zipf", "m": 4, "alpha": 1}))

@@ -205,14 +205,25 @@ class TestPostprocess:
 
 class TestRandomizerValidation:
     def test_rejects_bad_rows(self):
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(InvalidParameterError, match="probabilities sum to"):
             Randomizer((1,), (1, 2), [[0.7, 0.7]])
 
     def test_rejects_negative_entries(self):
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(InvalidParameterError, match="probabilities must be nonnegative"):
             Randomizer((1,), (1, 2), [[1.2, -0.2]])
 
     def test_unknown_input_symbol(self):
         r = make_krr(2, 1.0)
         with pytest.raises(InvalidInputError):
             r.row(99)
+
+    def test_rejects_repeated_outputs(self):
+        with pytest.raises(InvalidParameterError, match="labels must be distinct"):
+            Randomizer((1,), (1, 1), [[0.5, 0.5]])
+
+    def test_rows_are_built_once(self):
+        r = Randomizer(("a", "b"), (1, 2, 3), [[0.2, 0.3, 0.5], [0.6, 0.4, 0.0]])
+        for i, x in enumerate(r.input_labels):
+            assert r.row_dist(x) is r.row_dist(x) and r.row(x) is r.row_dist(x).probs
+            assert r.kernel[i].tobytes() == r.row(x).tobytes()
+        assert not r.kernel.flags.writeable

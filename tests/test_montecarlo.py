@@ -39,7 +39,7 @@ from shuffleleak.montecarlo import (
     _scorer,
     _table,
 )
-from shuffleleak.runner import preset_configs
+from shuffleleak.runner import compute_row, preset_configs
 
 ZIPF = make_zipf(4, 0.7)
 U4 = make_uniform(4)
@@ -360,6 +360,18 @@ class TestControlVariate:
                 est = row_estimate(form, n, control, BLOCK_SIZE, seed)
                 z.append((est.estimate + form.constant - truth) / est.stderr)
             assert abs(np.mean(z)) < 0.65 and 0.6 < np.std(z, ddof=1) < 1.5, (cfg.label, z)
+
+    def test_preset_rows_agree_with_the_expansions_at_2_26(self):
+        # the largest n the README says the rows are checked at
+        n = 2**26
+        for name in ("fig2", "fig3"):
+            for cfg in preset_configs(name, samples=100_000):
+                reference = compute_row(cfg, n, "asym", 0).value
+                z = []
+                for seed in range(4):
+                    row = compute_row(cfg, n, "mc", seed)
+                    z.append((row.value - reference) / row.stderr)
+                assert abs(np.mean(z)) < 2.5, (cfg.label, z)
 
     def test_matched_channel_control_is_zero(self):
         # the score is constant at every design point, so the control is exactly 0
