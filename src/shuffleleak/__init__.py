@@ -8,12 +8,10 @@ position and value of a target user's message in a shuffled batch.
 from .asymptotics import (
     AsymptoticTerm,
     clone_message_bound,
-    cover_constant,
     input_mi_dp_bound,
     mean_chi2,
     message_mi_expansion,
     optimal_cover,
-    optimal_cover_constant,
     position_mi_dp_bound,
     position_mi_expansion,
     signal_rate,
@@ -39,11 +37,9 @@ from .mechanisms import (
     BOT,
     BlanketDecomposition,
     Randomizer,
-    blanket_of_family,
     blanket_of_randomizer,
     ldp_epsilon,
     make_krr,
-    postprocess_blanket,
 )
 from .montecarlo import (
     EstimatorResult,

@@ -95,26 +95,6 @@ def optimal_cover(p: Categorical) -> Categorical:
     return Categorical(sup, q / q.sum())
 
 
-def cover_constant(p: Categorical, q: Categorical) -> float:
-    """Leading-coefficient sum a_i / q_i with a_i = p_i (1 - p_i).
-
-    This is twice the 1/n coefficient of the message-leakage expansion.
-    Infinite when the cover misses part of the target's support.
-    """
-    _, pv, qv = align(p, q)
-    a = pv * (1 - pv)
-    if np.any((a > 0) & (qv == 0)):
-        return math.inf
-    m = a > 0
-    return float(np.sum(a[m] / qv[m]))
-
-
-def optimal_cover_constant(p: Categorical) -> float:
-    """Best achievable leading coefficient, (sum_i sqrt(p_i(1-p_i)))^2."""
-    a = np.asarray(p.probs) * (1 - np.asarray(p.probs))
-    return float(np.sqrt(a).sum() ** 2)
-
-
 def position_mi_dp_bound(eps0: float) -> float:
     """Position leakage never exceeds 2 eps0 under an eps0-LDP randomizer."""
     if eps0 < 0:

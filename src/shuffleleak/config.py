@@ -133,11 +133,8 @@ def parse_distribution(lit, path: str, diags: list[Diagnostic]) -> Categorical |
         if kind == "zipf":
             return make_zipf(_number(lit["m"], "m", integer=True), _number(lit["alpha"], "alpha"))
         if kind == "explicit":
-            labels = lit.get("labels")
             probs = [_number(x, "each probs entry") for x in lit["probs"]]
-            if labels is None:
-                labels = list(range(1, len(probs) + 1))
-            return Categorical(tuple(_freeze(lab) for lab in labels), probs)
+            return Categorical(_labels(lit, "labels", len(probs)), probs)
     except (KeyError, TypeError, ValueError, OverflowError, InvalidParameterError) as exc:
         diags.append(Diagnostic(path, f"invalid {kind} literal: {exc}"))
     return None
@@ -154,16 +151,20 @@ def parse_mechanism(lit, path: str, diags: list[Diagnostic]) -> Randomizer | Non
             ]
             n_in = len(kernel)
             n_out = len(kernel[0]) if n_in else 0
-            ins = lit.get("input_labels", list(range(1, n_in + 1)))
-            outs = lit.get("output_labels", list(range(1, n_out + 1)))
-            return Randomizer(
-                tuple(_freeze(x) for x in ins),
-                tuple(_freeze(x) for x in outs),
-                kernel,
-            )
+            ins = _labels(lit, "input_labels", n_in)
+            return Randomizer(ins, _labels(lit, "output_labels", n_out), kernel)
     except (KeyError, TypeError, ValueError, IndexError, OverflowError, InvalidParameterError) as exc:
         diags.append(Diagnostic(path, f"invalid {kind} literal: {exc}"))
     return None
+
+
+def _labels(lit: dict, key: str, size: int) -> tuple:
+    """The label list a literal gives under ``key``, 1..size when it gives
+    none; only a JSON array is a label list."""
+    labels = lit.get(key, list(range(1, size + 1)))
+    if not isinstance(labels, list):
+        raise InvalidParameterError(f"{key} must be a JSON array, got {labels!r}")
+    return tuple(map(_freeze, labels))
 
 
 def _freeze(value):

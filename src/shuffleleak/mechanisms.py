@@ -3,21 +3,20 @@
 A :class:`Randomizer` is a row-stochastic kernel: row x is the output
 distribution of the mechanism applied to input x. The blanket
 decomposition peels off the largest input-independent common component of
-a family of distributions (or of a randomizer's rows); the residual mass
-is routed through a placeholder symbol ``BOT`` and restored by
-:func:`postprocess_blanket`.
+a randomizer's rows; the residual mass is routed through a placeholder
+symbol ``BOT``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Hashable, Mapping, Sequence
+from typing import Hashable, Mapping
 
 import numpy as np
 
 from .errors import InvalidInputError, InvalidParameterError
-from .probability import Categorical, union_labels
+from .probability import Categorical
 
 
 class _Bottom:
@@ -129,12 +128,12 @@ def ldp_epsilon(r: Randomizer) -> float:
 
 @dataclass(frozen=True)
 class BlanketDecomposition:
-    """Common-component decomposition of a family of distributions.
+    """Common-component decomposition of a randomizer's rows.
 
-    ``gamma`` is the total coordinatewise-infimum mass. Each source i
-    satisfies source_i = gamma * blanket + (1 - gamma) * leftovers[i].
+    ``gamma`` is the total coordinatewise-infimum mass. Each row x
+    satisfies R_x = gamma * blanket + (1 - gamma) * leftovers[x].
     ``generalized_blanket`` places the un-normalized infimum on the
-    original alphabet and mass 1 - gamma on ``BOT``. ``blanket`` is None
+    output alphabet and mass 1 - gamma on ``BOT``. ``blanket`` is None
     when gamma = 0 and ``leftovers`` is empty when gamma = 1.
     """
 
@@ -144,16 +143,16 @@ class BlanketDecomposition:
     leftovers: Mapping[Hashable, Categorical]
 
 
-def _decompose(sources: Sequence[Categorical], keys: Sequence[Hashable]) -> BlanketDecomposition:
-    labels = union_labels(sources)
-    rows = np.array([[s.prob(l) for l in labels] for s in sources])
+def blanket_of_randomizer(r: Randomizer) -> BlanketDecomposition:
+    """Blanket decomposition of a randomizer's rows, keyed by input label."""
+    labels, rows = r.output_labels, r.kernel
     inf_row = rows.min(axis=0)
     gamma = float(inf_row.sum())
     gen_labels = labels + (BOT,)
 
     if gamma == 0.0:
         generalized = Categorical(gen_labels, np.append(inf_row, 1.0))
-        leftovers = {k: Categorical(labels, rows[i]) for i, k in enumerate(keys)}
+        leftovers = {x: r.row_dist(x) for x in r.input_labels}
         return BlanketDecomposition(0.0, None, generalized, leftovers)
 
     if gamma >= 1.0 - 1e-12:
@@ -164,51 +163,7 @@ def _decompose(sources: Sequence[Categorical], keys: Sequence[Hashable]) -> Blan
     blanket = Categorical(labels, inf_row / gamma)
     generalized = Categorical(gen_labels, np.append(inf_row, 1.0 - gamma))
     leftovers = {}
-    for i, k in enumerate(keys):
-        res = np.maximum(rows[i] - inf_row, 0.0)
-        leftovers[k] = Categorical(labels, res / res.sum())
+    for x, row in zip(r.input_labels, rows):
+        res = np.maximum(row - inf_row, 0.0)
+        leftovers[x] = Categorical(labels, res / res.sum())
     return BlanketDecomposition(gamma, blanket, generalized, leftovers)
-
-
-def blanket_of_family(sources: Sequence[Categorical]) -> BlanketDecomposition:
-    """Blanket decomposition of a family of distributions.
-
-    gamma = sum_y inf_i P_i(y); leftovers are keyed by the position of
-    each source in ``sources``.
-    """
-    if len(sources) == 0:
-        raise InvalidParameterError("need at least one source")
-    return _decompose(sources, range(len(sources)))
-
-
-def blanket_of_randomizer(r: Randomizer) -> BlanketDecomposition:
-    """Blanket decomposition of a randomizer's rows, keyed by input label."""
-    sources = [r.row_dist(x) for x in r.input_labels]
-    return _decompose(sources, r.input_labels)
-
-
-def postprocess_blanket(
-    z_reduced: Sequence,
-    leftovers: Sequence[Categorical],
-    rng: np.random.Generator,
-) -> list:
-    """Replace ``BOT`` placeholders with draws from distinct users' leftovers.
-
-    ``z_reduced`` has n entries; ``leftovers`` holds the n - 1 leftover
-    distributions of the non-target users, in order. Placeholders are
-    processed left to right; each consumes a uniformly chosen not-yet-used
-    user and one sample from that user's leftover. Non-placeholder entries
-    pass through unchanged.
-    """
-    n = len(z_reduced)
-    if len(leftovers) != n - 1:
-        raise InvalidInputError("expected one leftover per non-target user")
-    bot_positions = [i for i, v in enumerate(z_reduced) if v is BOT]
-    if len(bot_positions) > len(leftovers):
-        raise InvalidInputError("more placeholders than available users")
-    out = list(z_reduced)
-    unused = list(range(len(leftovers)))
-    for pos in bot_positions:
-        j = unused.pop(int(rng.integers(len(unused))))
-        out[pos] = leftovers[j].sample(rng)
-    return out

@@ -37,11 +37,6 @@ class ShuffleSample:
         if self.z[self.k_true - 1] != self.y1:
             raise InvalidInputError("z[k_true] must equal y1")
 
-    def csv_row(self) -> str:
-        """Debug serialization: z joined by ';', k_true, y1, inputs."""
-        xs = "" if self.x_inputs is None else ";".join(map(str, self.x_inputs))
-        return f"{';'.join(map(str, self.z))},{self.k_true},{self.y1},{xs}"
-
 
 @dataclass(frozen=True)
 class Histogram:

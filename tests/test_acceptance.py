@@ -133,9 +133,9 @@ def test_criterion_04_visible_channel_estimates_match_expansions():
 def test_criterion_05_optimal_cover():
     """Optimal-cover constant is 2.81 +- 0.01 and is a strict minimum."""
     p = sl.make_zipf(4, 0.7)
-    best = sl.optimal_cover_constant(p)
-    value_ok = abs(best - 2.81) <= 0.01
     q = sl.optimal_cover(p)
+    best = 2 * sl.message_mi_expansion(p, q).inv_n_coefficient
+    value_ok = abs(best - 2.81) <= 0.01
     rng = np.random.default_rng(55)
     trials = 0
     strict = True
@@ -147,7 +147,7 @@ def test_criterion_05_optimal_cover():
             continue
         trials += 1
         perturbed = sl.Categorical(q.labels, v / v.sum())
-        if sl.cover_constant(p, perturbed) <= best:
+        if 2 * sl.message_mi_expansion(p, perturbed).inv_n_coefficient <= best:
             strict = False
     criterion(5, f"leading constant {best:.4f} = 2.81 +- 0.01 and 100 random "
                  "perturbations all strictly worse", value_ok and strict)

@@ -12,7 +12,6 @@ from shuffleleak import (
     Randomizer,
     chi2_divergence,
     clone_message_bound,
-    cover_constant,
     input_mi_dp_bound,
     input_mi_fixed_others,
     input_mi_iid_others,
@@ -27,8 +26,8 @@ from shuffleleak import (
     message_mi_exact,
     message_mi_expansion,
     optimal_cover,
-    optimal_cover_constant,
     position_mi_dp_bound,
+    position_mi_fixed_inputs,
     position_mi_expansion,
     signal_rate,
     blanket_of_randomizer,
@@ -152,17 +151,22 @@ class TestOptimalCover:
         q = optimal_cover(make_uniform(5))
         assert np.allclose(q.probs, 0.2)
 
+    @staticmethod
+    def leading_constant(p, q):
+        """Twice the 1/n coefficient of message leakage, sum_i p_i (1 - p_i) / q_i."""
+        return 2 * message_mi_expansion(p, q).inv_n_coefficient
+
     def test_zipf_constant(self):
-        assert optimal_cover_constant(ZIPF) == pytest.approx(2.81, abs=0.01)
+        assert self.leading_constant(ZIPF, optimal_cover(ZIPF)) == pytest.approx(2.81, abs=0.01)
 
     def test_achieves_its_constant(self):
-        q = optimal_cover(ZIPF)
-        assert cover_constant(ZIPF, q) == pytest.approx(
-            optimal_cover_constant(ZIPF), abs=1e-12
+        a = np.asarray(ZIPF.probs) * (1 - np.asarray(ZIPF.probs))
+        assert self.leading_constant(ZIPF, optimal_cover(ZIPF)) == pytest.approx(
+            np.sqrt(a).sum() ** 2, abs=1e-12
         )
 
     def test_matched_cover_constant_is_m_minus_1(self):
-        assert cover_constant(ZIPF, ZIPF) == pytest.approx(3.0, abs=1e-12)
+        assert self.leading_constant(ZIPF, ZIPF) == pytest.approx(3.0, abs=1e-12)
 
     def test_point_mass_rejected(self):
         with pytest.raises(InvalidParameterError):
@@ -171,7 +175,7 @@ class TestOptimalCover:
     def test_perturbations_strictly_worse(self):
         rng = np.random.default_rng(21)
         q = optimal_cover(ZIPF)
-        best = optimal_cover_constant(ZIPF)
+        best = self.leading_constant(ZIPF, q)
         for _ in range(50):
             d = rng.normal(size=len(q.probs))
             d -= d.mean()
@@ -179,7 +183,7 @@ class TestOptimalCover:
             if np.any(v <= 0):
                 continue
             perturbed = Categorical(q.labels, v / v.sum())
-            assert cover_constant(ZIPF, perturbed) > best
+            assert self.leading_constant(ZIPF, perturbed) > best
 
 
 class TestBounds:
@@ -196,14 +200,17 @@ class TestBounds:
         assert clone_message_bound(4, 0.0, 100) == pytest.approx(matched_rate(U4, 100))
         assert clone_message_bound(4, 1.0, 64) == pytest.approx(3 * math.e / 128)
 
+    @staticmethod
+    def vertex_mechanisms():
+        rng = np.random.default_rng(17)
+        mechanisms = [make_krr(k, eps) for k in (2, 3, 4) for eps in (0.5, 1.0, 2.0, 4.0)]
+        return mechanisms + [random_ldp_kernel(rng, rng.uniform(0.2, 1.5), 3, 3) for _ in range(30)]
+
     def test_unified_bound_covers_fixed_inputs_at_every_vertex(self):
         # the leading term is convex in the other users' inputs, so its worst
         # case is a vertex: all n - 1 others given one input x
-        rng = np.random.default_rng(17)
-        mechanisms = [make_krr(k, eps) for k in (2, 3, 4) for eps in (0.5, 1.0, 2.0, 4.0)]
-        mechanisms += [random_ldp_kernel(rng, rng.uniform(0.2, 1.5), 3, 3) for _ in range(30)]
         cases = worst = 0
-        for r in mechanisms:
+        for r in self.vertex_mechanisms():
             k = len(r.input_labels)
             eps = ldp_epsilon(r)
             for x in r.input_labels:
@@ -215,6 +222,20 @@ class TestBounds:
                     worst = max(worst, exact / bound, rate / bound)
                     cases += 1
         assert cases == 882 and worst < 0.5
+
+    def test_position_bound_covers_fixed_inputs_at_every_vertex(self):
+        # the target's input x1 against n - 1 others that all share one input x
+        cases = worst = 0
+        for r in self.vertex_mechanisms():
+            bound = position_mi_dp_bound(ldp_epsilon(r))
+            for x1 in r.input_labels:
+                for x in r.input_labels:
+                    for n in (2, 3, 4, 6, 8, 12, 16):
+                        exact = position_mi_fixed_inputs(r, (x1,) + (x,) * (n - 1))
+                        assert exact <= bound, (r.kernel, x1, x, n)
+                        worst = max(worst, exact / bound)
+                        cases += 1
+        assert cases == 2702 and worst < 0.5
 
 
 class TestMixedSignalRate:

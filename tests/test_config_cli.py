@@ -297,6 +297,26 @@ class TestNestedLiterals:
         cfg, diags = parse_config(self.dp_doc(mechanism))
         assert "mechanism" in {d.field for d in diags} and cfg is None
 
+    @pytest.mark.parametrize("field,literal,expected", [
+        ("P", {"type": "explicit", "labels": "abc", "probs": [0.2, 0.3, 0.5]},
+         "P: invalid explicit literal: labels must be a JSON array, got 'abc'"),
+        ("mechanism", {"type": "explicit", "kernel": [[0.6, 0.4], [0.4, 0.6]],
+                       "input_labels": "ab"},
+         "mechanism: invalid explicit literal: input_labels must be a JSON array, got 'ab'"),
+        ("mechanism", {"type": "explicit", "kernel": [[0.6, 0.4], [0.4, 0.6]],
+                       "output_labels": {"x": 1, "y": 2}},
+         "mechanism: invalid explicit literal: output_labels must be a JSON array, "
+         "got {'x': 1, 'y': 2}"),
+    ])
+    def test_label_lists_are_json_arrays(self, tmp_path, field, literal, expected):
+        doc = make_doc(P=literal) if field == "P" else self.dp_doc(literal)
+        assert [str(d) for d in parse_config(doc)[1]] == [expected]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        for command in ("validate", "run"):
+            result = CliRunner().invoke(main, [command, "--config", str(path)])
+            assert result.exit_code == 2 and expected in result.output
+
     def test_integer_alpha_and_eps0_are_numbers(self):
         cfg, diags = parse_config(make_doc(P={"type": "zipf", "m": 4, "alpha": 1}))
         assert diags == [] and cfg.p.same_mass(make_zipf(4, 1.0))

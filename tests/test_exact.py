@@ -11,7 +11,7 @@ from shuffleleak import (
     Categorical,
     Randomizer,
     ResourceLimitError,
-    blanket_of_family,
+    blanket_of_randomizer,
     entropy,
     estimate_position_mi,
     input_mi_fixed_others,
@@ -280,7 +280,8 @@ class TestInputOracles:
             p1 = random_categorical(rng, (1, 2, 3))
             others = [random_categorical(rng, (1, 2, 3)) for _ in range(n - 1)]
             direct = input_mi_shuffle_only(p1, others)
-            dec = blanket_of_family(others)
+            rows = Randomizer(range(n - 1), (1, 2, 3), [o.probs for o in others])
+            dec = blanket_of_randomizer(rows)
             reduced = input_mi_shuffle_only(p1, [dec.generalized_blanket] * (n - 1))
             assert direct <= reduced + 1e-12
 

@@ -10,11 +10,9 @@ from shuffleleak import (
     InvalidInputError,
     InvalidParameterError,
     Randomizer,
-    blanket_of_family,
     blanket_of_randomizer,
     ldp_epsilon,
     make_krr,
-    postprocess_blanket,
 )
 from shuffleleak.mechanisms import BOT
 
@@ -74,18 +72,23 @@ class TestLdpEpsilon:
         assert ldp_epsilon(r) == 0.0
 
 
+def family(*rows):
+    """A randomizer whose rows are ``rows``, on inputs 0, 1, ..."""
+    return Randomizer(range(len(rows)), rows[0].labels, [row.probs for row in rows])
+
+
 class TestBlanketOfFamily:
     def test_identical_sources(self):
         q = Categorical(("a", "b"), (0.3, 0.7))
-        d = blanket_of_family([q, q, q])
+        d = blanket_of_randomizer(family(q, q, q))
         assert d.gamma == 1.0
         assert d.blanket.same_mass(q, tol=1e-15)
         assert d.leftovers == {}
         assert d.generalized_blanket.prob(BOT) == 0.0
 
     def test_two_sources(self):
-        d = blanket_of_family(
-            [Categorical(("a", "b"), (0.3, 0.7)), Categorical(("a", "b"), (0.5, 0.5))]
+        d = blanket_of_randomizer(
+            family(Categorical(("a", "b"), (0.3, 0.7)), Categorical(("a", "b"), (0.5, 0.5)))
         )
         assert d.gamma == pytest.approx(0.8, abs=1e-15)
         assert np.allclose(d.blanket.probs, [0.375, 0.625])
@@ -93,8 +96,8 @@ class TestBlanketOfFamily:
         assert np.allclose(d.leftovers[1].probs, [1.0, 0.0])
 
     def test_generalized_blanket_example(self):
-        d = blanket_of_family(
-            [Categorical(("y1", "y2"), (0.3, 0.7)), Categorical(("y1", "y2"), (0.5, 0.5))]
+        d = blanket_of_randomizer(
+            family(Categorical(("y1", "y2"), (0.3, 0.7)), Categorical(("y1", "y2"), (0.5, 0.5)))
         )
         g = d.generalized_blanket
         assert g.prob("y1") == pytest.approx(0.3, abs=1e-12)
@@ -104,7 +107,7 @@ class TestBlanketOfFamily:
     def test_disjoint_sources_gamma_zero(self):
         a = Categorical(("a", "b"), (1.0, 0.0))
         b = Categorical(("a", "b"), (0.0, 1.0))
-        d = blanket_of_family([a, b])
+        d = blanket_of_randomizer(family(a, b))
         assert d.gamma == 0.0
         assert d.blanket is None
         assert d.generalized_blanket.prob(BOT) == 1.0
@@ -122,7 +125,7 @@ class TestBlanketOfFamily:
         sources = [
             Categorical((1, 2, 3), np.asarray(r) / np.sum(r)) for r in rows
         ]
-        d = blanket_of_family(sources)
+        d = blanket_of_randomizer(family(*sources))
         for i, src in enumerate(sources):
             for lab in src.labels:
                 if d.gamma == 1.0:
@@ -168,39 +171,6 @@ class TestBlanketOfRandomizer:
         assert set(d.leftovers) == {1, 2}
         assert np.allclose(d.leftovers[1].probs, [1.0, 0.0])
         assert np.allclose(d.leftovers[2].probs, [0.0, 1.0])
-
-
-class TestPostprocess:
-    def test_no_placeholder_is_identity(self):
-        rng = np.random.default_rng(0)
-        lo = [Categorical(("a",), (1.0,))] * 2
-        assert postprocess_blanket(["a", "b", "a"], lo, rng) == ["a", "b", "a"]
-
-    def test_all_placeholders_deterministic_leftovers(self):
-        rng = np.random.default_rng(0)
-        lo = [Categorical(("a",), (1.0,))] * 3
-        out = postprocess_blanket(["x", BOT, BOT, BOT], lo, rng)
-        assert out == ["x", "a", "a", "a"]
-
-    def test_single_placeholder_uniform_user_choice(self):
-        lo = [Categorical(("a",), (1.0,)), Categorical(("b",), (1.0,))]
-        rng = np.random.default_rng(12)
-        hits = {"a": 0, "b": 0}
-        trials = 4000
-        for _ in range(trials):
-            out = postprocess_blanket(["x", BOT, "x"], lo, rng)
-            hits[out[1]] += 1
-        assert hits["a"] / trials == pytest.approx(0.5, abs=0.03)
-
-    def test_too_many_placeholders(self):
-        rng = np.random.default_rng(0)
-        with pytest.raises(InvalidInputError):
-            postprocess_blanket([BOT, BOT], [Categorical(("a",), (1.0,))], rng)
-
-    def test_wrong_leftover_count(self):
-        rng = np.random.default_rng(0)
-        with pytest.raises(InvalidInputError):
-            postprocess_blanket(["a", "b"], [], rng)
 
 
 class TestRandomizerValidation:

@@ -91,10 +91,6 @@ class TestSampling:
         expected = np.array(list(law.values())).T * trials
         assert chisquare(counts.ravel(), expected.ravel()).pvalue > 0.01
 
-    def test_csv_row_serialization(self):
-        s = ShuffleSample(z=("a", "b"), k_true=2, y1="b", x_inputs=(1, 2))
-        assert s.csv_row() == "a;b,2,b,1;2"
-
 
 class TestPositionPosterior:
     def test_matched_is_uniform(self):
