@@ -11,9 +11,12 @@ from pathlib import Path
 
 import click
 
-from .config import ceiling_diagnostics, parse_config
+from .config import parse_config
 from .errors import ResourceLimitError
-from .runner import preset_configs, run_configs, to_csv
+from .montecarlo import SEED_LIMIT
+from .runner import ceiling_diagnostics, preset_configs, run_configs, to_csv
+
+SEED = click.IntRange(0, SEED_LIMIT, max_open=True)
 
 
 def _parse_file(path: str):
@@ -39,8 +42,12 @@ def _run_and_emit(configs, workers: int, out: str | None) -> None:
     text = to_csv(rows)
     if out is None:
         click.echo(text, nl=False)
-    else:
+        return
+    try:
         Path(out).write_text(text)
+    except OSError as exc:
+        click.echo(f"output error: {out}: {exc.strerror}", err=True)
+        sys.exit(2)
 
 
 @click.group()
@@ -53,7 +60,7 @@ def main():
 @click.option("--out", type=click.Path(), default=None, help="Write CSV here instead of stdout.")
 @click.option("--samples", type=click.IntRange(min=1), default=None,
               help="Override Monte Carlo sample count.")
-@click.option("--seed", type=int, default=None, help="Override the config seed.")
+@click.option("--seed", type=SEED, default=None, help="Override the config seed.")
 @click.option("--workers", type=click.IntRange(min=1), default=1, show_default=True)
 def run(config_path, out, samples, seed, workers):
     """Run one experiment config and emit a CSV table."""
@@ -83,7 +90,7 @@ def validate(config_path):
 @click.argument("name", type=click.Choice(["fig1", "fig2", "fig3"]))
 @click.option("--out", type=click.Path(), default=None)
 @click.option("--samples", type=click.IntRange(min=1), default=None)
-@click.option("--seed", type=int, default=None)
+@click.option("--seed", type=SEED, default=None)
 @click.option("--workers", type=click.IntRange(min=1), default=1, show_default=True)
 def preset(name, out, samples, seed, workers):
     """Run a built-in experiment battery (fig1, fig2, or fig3)."""

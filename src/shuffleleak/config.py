@@ -1,5 +1,5 @@
 """Experiment configuration: JSON literals, parsing, validation, and the
-cell table that says which code computes each (mode, quantity, method).
+cell table that says which rows each (mode, quantity, method) plans.
 
 A config is a single JSON document. Distribution literals:
 ``{"type": "uniform", "m": 4}``, ``{"type": "zipf", "m": 4, "alpha": 0.7}``,
@@ -11,22 +11,12 @@ literals: ``{"type": "krr", "k": 4, "eps0": 1.0}`` or
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import cycle, islice
-from typing import Callable
 
 import numpy as np
 
-from . import exact
-from .errors import InvalidParameterError, ResourceLimitError
-from .exact import (
-    check_states,
-    states_binomial,
-    states_input_mi,
-    states_position_dp,
-    states_shuffle_only,
-)
+from .errors import InvalidParameterError
 from .mechanisms import Randomizer, make_krr
-from .montecarlo import DEFAULT_SAMPLES, MAX_N
+from .montecarlo import DEFAULT_SAMPLES, MAX_N, SEED_LIMIT
 from .probability import Categorical, make_uniform, make_zipf
 
 MODES = ("shuffle_only", "shuffle_dp")
@@ -44,6 +34,10 @@ CELLS = {
     ("shuffle_dp", "IK"): {"exact": ("exact",), "bounds": ("bound_position",)},
     ("shuffle_dp", "IY1"): {"bounds": ("bound_clone",)},
 }
+# the rows whose arithmetic takes n as a float, and the least n whose
+# float(n) overflows: the largest float plus half its last unit
+FLOAT_N_METHODS = {"asym", "bound_unified", "bound_blanket", "bound_clone"}
+FLOAT_N_LIMIT = 2**1024 - 2**970
 KEYS = (
     "mode", "quantity", "P", "p", "Q", "q", "mechanism", "prior", "x_inputs",
     "n_grid", "samples", "seed", "method", "label",
@@ -222,8 +216,8 @@ def parse_config(doc) -> tuple[ExperimentConfig | None, list[Diagnostic]]:
         diags.append(Diagnostic("samples", "must be a positive integer"))
 
     seed = doc.get("seed", 0)
-    if not _is_int(seed):
-        diags.append(Diagnostic("seed", "must be an integer"))
+    if not _is_int(seed) or not 0 <= seed < SEED_LIMIT:
+        diags.append(Diagnostic("seed", "must be an integer in [0, 2^64)"))
 
     method = doc.get("method", "all")
     if method != "all" and any(m not in BASE_METHODS for m in str(method).split("+")):
@@ -296,8 +290,11 @@ def validate_config(cfg: ExperimentConfig) -> list[Diagnostic]:
                                f"equal to its length {len(cfg.x_inputs)}")
                 )
 
-    if "mc" in cell_methods(cfg) and any(n > MAX_N for n in cfg.n_grid):
+    methods = cell_methods(cfg)
+    if "mc" in methods and any(n > MAX_N for n in cfg.n_grid):
         diags.append(Diagnostic("n_grid", "Monte Carlo needs every n at most 2^63"))
+    if set(methods) & FLOAT_N_METHODS and any(n >= FLOAT_N_LIMIT for n in cfg.n_grid):
+        diags.append(Diagnostic("n_grid", "asym and bound rows need every n to fit a float"))
     if cfg.method != "all":
         cell = CELLS.get((cfg.mode, cfg.quantity), {})
         diags.extend(
@@ -308,54 +305,9 @@ def validate_config(cfg: ExperimentConfig) -> list[Diagnostic]:
     return diags
 
 
-def ceiling_diagnostics(cfg: ExperimentConfig) -> list[Diagnostic]:
-    """One diagnostic per n whose exact cell exceeds the state ceiling, from
-    state counts alone: a run skips that cell under 'all', exits 3 on 'exact'."""
-    given = cfg.p if cfg.mode == "shuffle_only" else cfg.mechanism
-    if given is None or cfg.method == "all" or "exact" not in cell_methods(cfg):
-        return []
-    diags = []
-    for n in cfg.n_grid:
-        try:
-            check_states(exact_cell(cfg, n)[0])
-        except ResourceLimitError as exc:
-            diags.append(Diagnostic("n_grid", f"resource-limit: exact method at n={n}: {exc}"))
-    return diags
-
-
 def cell_methods(cfg: ExperimentConfig) -> tuple[str, ...]:
     """The concrete methods a config evaluates at each n, in plan order."""
     cell = CELLS.get((cfg.mode, cfg.quantity), {})
     selected = BASE_METHODS if cfg.method == "all" else cfg.method.split("+")
     return tuple(c for base in BASE_METHODS if base in selected for c in cell.get(base, ()))
 
-
-def exact_cell(cfg: ExperimentConfig, n: int) -> tuple[int, Callable[[], float]]:
-    """The exact method of a config at n, as (state count, oracle call).
-
-    The count is the one the oracle checks against the ceiling, computed
-    without running it; the call raises ResourceLimitError, as every exact
-    oracle does, and looks its oracle up in ``exact`` when it runs.
-    """
-    if "exact" not in CELLS.get((cfg.mode, cfg.quantity), {}):
-        raise InvalidParameterError(f"no exact method for {cfg.mode} {cfg.quantity}")
-    if cfg.mode == "shuffle_only":
-        p, q = cfg.p, cfg.cover
-        if cfg.quantity == "IY1" and p.same_mass(q):
-            return states_binomial(p, n), (lambda: exact.matched_message_mi(p, n))
-        states = states_shuffle_only(p, q, n)
-        if cfg.quantity == "IK":
-            return states, (lambda: exact.position_mi_exact(p, q, n))
-        return states, (lambda: exact.message_mi_exact(p, q, n))
-    r = cfg.mechanism
-    k = len(r.output_labels)
-    if cfg.quantity == "IX1":
-        return states_input_mi(n, k), (lambda: exact.input_mi_iid_others(r, cfg.input_prior(), n))
-    states = states_position_dp(n, k)
-
-    def fixed_inputs():
-        check_states(states)  # before the n cycled inputs are built
-        x_inputs = cfg.x_inputs or tuple(islice(cycle(r.input_labels), n))
-        return exact.position_mi_fixed_inputs(r, x_inputs)
-
-    return states, fixed_inputs

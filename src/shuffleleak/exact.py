@@ -314,9 +314,8 @@ def position_mi_exact(p: Categorical, q: Categorical, n: int) -> float:
     impossible under the cover distribution pins the posterior to a single
     position and contributes log n.
     """
-    form = position_form(p, q, n)
     check_states(states_shuffle_only(p, q, n))
-    return _histogram_value(n, form)
+    return _histogram_value(n, position_form(p, q, n))
 
 
 def message_mi_exact(p: Categorical, q: Categorical, n: int) -> float:
@@ -328,9 +327,8 @@ def message_mi_exact(p: Categorical, q: Categorical, n: int) -> float:
     whether or not the target distribution is absolutely continuous
     w.r.t. the cover.
     """
-    form = message_form(p, q, n)
     check_states(states_shuffle_only(p, q, n))
-    return _histogram_value(n, form)
+    return _histogram_value(n, message_form(p, q, n))
 
 
 def _binom_xlogx(n: int, prob: float) -> float:
@@ -470,9 +468,8 @@ def input_mi_iid_others(r: Randomizer, prior: Categorical, n: int) -> float:
     likelihood ratio against the unconditional law. This is the quantity
     the Monte Carlo input estimator converges to.
     """
-    form = input_form(r, prior, n)
     check_states(states_input_mi(n, len(r.output_labels)))
-    return _histogram_value(n, form)
+    return _histogram_value(n, input_form(r, prior, n))
 
 
 def input_mi_shuffle_only(p1: Categorical, others: Sequence[Categorical]) -> float:

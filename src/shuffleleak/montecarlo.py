@@ -77,12 +77,11 @@ BLOCK_SIZE = 4096
 DEFAULT_SAMPLES = 100_000  # samples per estimate when a config or call gives none
 MIN_STEP = 0.125  # smallest design step of the control, in counts
 MAX_N = 1 << 63  # the n - 1 cover counts of a draw are an int64
-
-_MASK64 = (1 << 64) - 1
+SEED_LIMIT = 1 << 64  # a seed is the high half of each block's 128-bit Philox key
 
 
 def _block_rng(seed: int, block: int) -> np.random.Generator:
-    key = ((seed & _MASK64) << 64) | (block & _MASK64)
+    key = (seed << 64) | block
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -338,6 +337,8 @@ def _sample(form: HistogramForm, n: int, samples: int, seed: int) -> EstimatorRe
         raise InvalidParameterError("samples must be at least 1")
     if n > MAX_N:
         raise InvalidParameterError("Monte Carlo needs n at most 2^63")
+    if not 0 <= seed < SEED_LIMIT:
+        raise InvalidParameterError("seed must be in [0, 2^64)")
     if not form.target.any():  # every target message is hidden
         return EstimatorResult(form.constant, 0.0, samples, seed)
     block = _scorer(form, n, _control(form, n))

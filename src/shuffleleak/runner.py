@@ -7,15 +7,15 @@ depend on the worker count.
 
 Worker threads run only long cells, those whose driver splits them into
 several pieces of numpy work: a Monte Carlo row of more than one block, or
-an exact cell of more than one enumeration chunk within the ceiling. Two
-such cells can overlap, because numpy releases the interpreter lock inside
-each piece. A short cell takes a few hundred µs and holds the lock nearly
-all the time, so another thread only contends for it. A batch with at
-least two long cells runs in two phases: the calling thread first runs the
-short cells in plan order, then a pool runs the long cells (only those
-ahead of the first short cell that raised, if one did). Short cells go
-first so that an inline failure starts no pooled cell; any other batch
-runs inline.
+an exact cell within the ceiling whose work (``cell``) is above one
+enumeration chunk, ``exact.CHUNK_ROWS``. Two such cells can overlap,
+because numpy releases the interpreter lock inside each piece. A short
+cell takes a few hundred µs and holds the lock nearly all the time, so
+another thread only contends for it. A batch with at least two long cells
+runs in two phases: the calling thread first runs the short cells in plan
+order, then a pool runs the long cells (only those ahead of the first
+short cell that raised, if one did). Short cells go first so that an
+inline failure starts no pooled cell; any other batch runs inline.
 """
 
 from __future__ import annotations
@@ -24,13 +24,14 @@ import csv
 import io
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import cycle, islice
 from typing import Sequence
 
 import numpy as np
 
 from . import asymptotics as asym
 from . import exact, montecarlo
-from .config import ExperimentConfig, cell_methods, exact_cell
+from .config import Diagnostic, ExperimentConfig, cell_methods
 from .errors import InvalidParameterError, ResourceLimitError
 from .mechanisms import blanket_of_randomizer, ldp_epsilon, make_krr
 from .probability import make_uniform, make_zipf
@@ -49,8 +50,73 @@ class ResultRow:
 
 
 def _derive_seed(seed: int, cfg_index: int, row_index: int) -> int:
-    ss = np.random.SeedSequence(entropy=(seed & ((1 << 64) - 1), cfg_index, row_index))
+    ss = np.random.SeedSequence(entropy=(seed, cfg_index, row_index))
     return int(ss.generate_state(1, np.uint64)[0])
+
+
+def cell(cfg: ExperimentConfig, n: int, method: str, seed: int):
+    """One planned (n, method) cell of a config, as (work, call).
+
+    ``work`` is what the cell costs, known without running it: the state
+    count its exact oracle checks against the ceiling (pmf terms for the
+    matched closed form, grid cells for the dense driver), the samples of
+    a Monte Carlo row, or 0 for an expansion or a bound. ``call()`` returns
+    (value, stderr), stderr None but for Monte Carlo; an exact call raises
+    ResourceLimitError over the ceiling. Every function a call evaluates
+    is looked up when it runs.
+    """
+    if cfg.mode == "shuffle_only":
+        p, q = cfg.p, cfg.cover
+        ik = cfg.quantity == "IK"
+        if method == "exact" and not ik and p.same_mass(q):
+            return exact.states_binomial(p, n), lambda: (exact.matched_message_mi(p, n), None)
+        if method == "exact":
+            return exact.states_shuffle_only(p, q, n), lambda: (
+                (exact.position_mi_exact if ik else exact.message_mi_exact)(p, q, n), None)
+        if method == "mc":
+            return cfg.samples, lambda: _value_and_stderr(
+                (montecarlo.estimate_position_mi if ik else montecarlo.estimate_message_mi)(
+                    p, q, n, cfg.samples, seed))
+        return 0, lambda: (
+            (asym.position_mi_expansion if ik else asym.message_mi_expansion)(p, q).evaluate(n),
+            None)
+
+    r = cfg.mechanism
+    k = len(r.output_labels)
+    if method == "exact" and cfg.quantity == "IX1":
+        return exact.states_input_mi(n, k), lambda: (
+            exact.input_mi_iid_others(r, cfg.input_prior(), n), None)
+    if method == "exact":
+        states = exact.states_position_dp(n, k)
+
+        def fixed_inputs():
+            exact.check_states(states)  # before the n cycled inputs are built
+            x_inputs = cfg.x_inputs or tuple(islice(cycle(r.input_labels), n))
+            return exact.position_mi_fixed_inputs(r, x_inputs), None
+
+        return states, fixed_inputs
+    if method == "mc":
+        return cfg.samples, lambda: _value_and_stderr(
+            montecarlo.estimate_input_mi(r, cfg.input_prior(), n, cfg.samples, seed))
+
+    def expansion_or_bound():
+        if method == "asym":
+            px = exact._prior_vector(cfg.input_prior(), r.input_labels)
+            return asym.signal_rate(px, r.kernel, [px @ r.kernel], [n - 1])
+        if method == "bound_unified":
+            return asym.input_mi_dp_bound(ldp_epsilon(r), n)
+        if method == "bound_blanket":
+            qb = blanket_of_randomizer(r).generalized_blanket
+            return asym.mean_chi2(cfg.input_prior(), r, qb) / (2.0 * n)
+        if method == "bound_position":
+            return asym.position_mi_dp_bound(ldp_epsilon(r))
+        return asym.clone_message_bound(k, ldp_epsilon(r), n)
+
+    return 0, lambda: (expansion_or_bound(), None)
+
+
+def _value_and_stderr(est: montecarlo.EstimatorResult) -> tuple[float, float]:
+    return est.estimate, est.stderr
 
 
 def compute_row(cfg: ExperimentConfig, n: int, method: str, row_seed: int) -> ResultRow | None:
@@ -58,65 +124,38 @@ def compute_row(cfg: ExperimentConfig, n: int, method: str, row_seed: int) -> Re
     exact cell is skipped for exceeding the ceiling under 'all'."""
     if method not in cell_methods(cfg):
         raise InvalidParameterError(f"method {method!r} is not planned for this config")
-    quantity = cfg.quantity
-    value: float
-    stderr: float | None = None
-
-    if method == "exact":
-        try:
-            value = exact_cell(cfg, n)[1]()
-        except ResourceLimitError:
-            if cfg.method == "all":
-                return None
-            raise
-    elif cfg.mode == "shuffle_only":
-        p, q = cfg.p, cfg.cover
-        if method == "mc":
-            est = (
-                montecarlo.estimate_position_mi(p, q, n, cfg.samples, row_seed)
-                if quantity == "IK"
-                else montecarlo.estimate_message_mi(p, q, n, cfg.samples, row_seed)
-            )
-            value, stderr = est.estimate, est.stderr
-        else:  # asym
-            term = (
-                asym.position_mi_expansion(p, q)
-                if quantity == "IK"
-                else asym.message_mi_expansion(p, q)
-            )
-            value = term.evaluate(n)
-    else:
-        r = cfg.mechanism
-        prior = cfg.input_prior()
-        if method == "mc":
-            est = montecarlo.estimate_input_mi(r, prior, n, cfg.samples, row_seed)
-            value, stderr = est.estimate, est.stderr
-        elif method == "asym":
-            px = exact._prior_vector(prior, r.input_labels)
-            value = asym.signal_rate(px, r.kernel, [px @ r.kernel], [n - 1])
-        elif method == "bound_unified":
-            value = asym.input_mi_dp_bound(ldp_epsilon(r), n)
-        elif method == "bound_blanket":
-            qb = blanket_of_randomizer(r).generalized_blanket
-            value = asym.mean_chi2(prior, r, qb) / (2.0 * n)
-        elif method == "bound_position":
-            value = asym.position_mi_dp_bound(ldp_epsilon(r))
-        else:  # bound_clone
-            value = asym.clone_message_bound(
-                len(r.output_labels), ldp_epsilon(r), n
-            )
-    return ResultRow(cfg.label, n, method, quantity, value, stderr)
+    try:
+        value, stderr = cell(cfg, n, method, row_seed)[1]()
+    except ResourceLimitError:  # only an exact call raises it
+        if cfg.method == "all":
+            return None
+        raise
+    return ResultRow(cfg.label, n, method, cfg.quantity, value, stderr)
 
 
 def _is_long(cfg: ExperimentConfig, n: int, method: str) -> bool:
     """True for a cell of several pieces of numpy work: a Monte Carlo row of
-    more than one block, or an exact cell of more than one enumeration chunk
+    more than one block, or an exact cell whose work is above one chunk and
     within the ceiling (a cell over it only raises or is skipped)."""
+    work = cell(cfg, n, method, 0)[0]
     if method == "mc":
-        return cfg.samples > montecarlo.BLOCK_SIZE
-    if method == "exact":
-        return exact.CHUNK_ROWS < exact_cell(cfg, n)[0] <= exact.MAX_STATES
-    return False
+        return work > montecarlo.BLOCK_SIZE
+    return exact.CHUNK_ROWS < work <= exact.MAX_STATES
+
+
+def ceiling_diagnostics(cfg: ExperimentConfig) -> list[Diagnostic]:
+    """One diagnostic per n whose exact cell exceeds the state ceiling, from
+    state counts alone: a run skips that cell under 'all', exits 3 on 'exact'."""
+    given = cfg.p if cfg.mode == "shuffle_only" else cfg.mechanism
+    if given is None or cfg.method == "all" or "exact" not in cell_methods(cfg):
+        return []
+    diags = []
+    for n in cfg.n_grid:
+        try:
+            exact.check_states(cell(cfg, n, "exact", 0)[0])
+        except ResourceLimitError as exc:
+            diags.append(Diagnostic("n_grid", f"resource-limit: exact method at n={n}: {exc}"))
+    return diags
 
 
 def run_configs(configs: Sequence[ExperimentConfig], workers: int = 1) -> list[ResultRow]:

@@ -3,18 +3,21 @@ diagnostics, and which exact cells the runner skips under ``all``."""
 
 import math
 
+import numpy as np
 import pytest
 
+from shuffleleak.asymptotics import mean_chi2, signal_rate
 from shuffleleak.config import (
     BASE_METHODS,
     MODES,
     QUANTITIES,
     cell_methods,
-    ceiling_diagnostics,
     parse_config,
 )
 from shuffleleak.errors import InvalidParameterError
-from shuffleleak.runner import compute_row, run_configs
+from shuffleleak.exact import input_mi_iid_others
+from shuffleleak.mechanisms import blanket_of_randomizer
+from shuffleleak.runner import ceiling_diagnostics, compute_row, run_configs
 
 ZIPF4 = {"type": "zipf", "m": 4, "alpha": 0.7}
 UNIFORM4 = {"type": "uniform", "m": 4}
@@ -180,3 +183,35 @@ class TestOneDiagnosticPerLiteral:
                                  "mechanism": {"type": "krr", "k": 4, "eps0": 1000},
                                  "n_grid": [4]})
         assert "eps0" in diags[0].message and "math range error" not in diags[0].message
+
+
+class TestInputPrior:
+    """A shuffle_dp IX1 config's prior reaches every row that reads it."""
+
+    # rows at different chi-squared distances from the blanket, so that
+    # the blanket bound, unlike under kRR, depends on the prior
+    MECHANISM = {"type": "explicit", "kernel": [[0.6, 0.3, 0.1], [0.2, 0.5, 0.3],
+                                                 [0.1, 0.2, 0.7]]}
+    PRIOR = {"type": "explicit", "labels": [1, 2, 3], "probs": [0.5, 0.3, 0.2]}
+    N = 6
+
+    def rows(self, **prior):
+        cfg, diags = parse_config({"mode": "shuffle_dp", "quantity": "IX1", "n_grid": [self.N],
+                                   "mechanism": self.MECHANISM, "samples": 20000, "seed": 3,
+                                   **prior})
+        assert diags == []
+        return cfg, {r.method: r for r in run_configs([cfg])}
+
+    def test_rows_read_a_given_prior(self):
+        cfg, rows = self.rows(prior=self.PRIOR)
+        r, prior, n = cfg.mechanism, cfg.input_prior(), self.N
+        assert prior is cfg.prior
+        px = np.array([prior.prob(x) for x in r.input_labels])
+        qb = blanket_of_randomizer(r).generalized_blanket
+        assert rows["exact"].value == input_mi_iid_others(r, prior, n)
+        assert rows["asym"].value == signal_rate(px, r.kernel, [px @ r.kernel], [n - 1])
+        assert rows["bound_blanket"].value == mean_chi2(prior, r, qb) / (2 * n)
+        assert abs(rows["mc"].value - rows["exact"].value) < 4 * rows["mc"].stderr
+        _, uniform = self.rows()
+        for method in ("exact", "mc", "asym", "bound_blanket"):
+            assert rows[method].value != uniform[method].value

@@ -1,4 +1,5 @@
 import csv
+import errno
 import io
 import json
 import math
@@ -17,15 +18,16 @@ import shuffleleak
 from shuffleleak.cli import main
 from shuffleleak.config import (
     ExperimentConfig,
-    ceiling_diagnostics,
     parse_config,
     validate_config,
 )
 from shuffleleak import montecarlo, runner
+from shuffleleak.errors import InvalidParameterError
 from shuffleleak.runner import (
     PRESET_SAMPLES,
     ResultRow,
     _derive_seed,
+    ceiling_diagnostics,
     preset_configs,
     run_configs,
     to_csv,
@@ -243,6 +245,74 @@ class TestKeysNotRead:
         cfg, diags = parse_config({**DP_KRR2, "quantity": "IK", "n_grid": [3],
                                    "x_inputs": [2, 1, 1]})
         assert diags == [] and cfg.x_inputs == (2, 1, 1)
+
+
+HUGE = 10**400  # float(n) overflows
+
+
+class TestDiagnosticText:
+    """Each diagnostic reads the same from parse_config, validate and run."""
+
+    @pytest.mark.parametrize("doc,expected", [
+        ({**DP_KRR2, "quantity": "IX1", "n_grid": [3],
+          "prior": {"type": "explicit", "labels": [1, 3], "probs": [0.5, 0.5]}},
+         "prior: prior support must be mechanism inputs"),
+        ({**DP_KRR2, "quantity": "IK", "n_grid": [3], "x_inputs": [1, 3, 2]},
+         "x_inputs: unknown mechanism input symbol"),
+        (make_doc(quantity="IX2"), "quantity: must be one of ('IK', 'IY1', 'IX1')"),
+        ([make_doc()], "$: config must be a JSON object"),
+        (make_doc(seed=2**64), "seed: must be an integer in [0, 2^64)"),
+        (make_doc(seed=-1), "seed: must be an integer in [0, 2^64)"),
+        (make_doc(method="asym", n_grid=[4, HUGE]),
+         "n_grid: asym and bound rows need every n to fit a float"),
+        ({**DP_KRR2, "quantity": "IX1", "method": "asym+bounds", "n_grid": [HUGE]},
+         "n_grid: asym and bound rows need every n to fit a float"),
+        ({**DP_KRR2, "quantity": "IY1", "method": "bounds", "n_grid": [HUGE]},
+         "n_grid: asym and bound rows need every n to fit a float"),
+    ])
+    def test_one_line_exit_2(self, tmp_path, doc, expected):
+        assert [str(d) for d in parse_config(doc)[1]] == [expected]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        for command in ("validate", "run"):
+            result = CliRunner().invoke(main, [command, "--config", str(path)])
+            assert result.exit_code == 2 and isinstance(result.exception, SystemExit)
+            assert result.output == expected + "\n"
+
+    def test_the_largest_float_n_is_accepted(self):
+        assert parse_config(make_doc(method="asym", n_grid=[int(sys.float_info.max)]))[1] == []
+        assert parse_config(make_doc(method="asym", n_grid=[2**1024 - 2**970]))[1] != []
+
+
+class TestBeyondFloatN:
+    """Rows that need no float n still run at an n that no float holds."""
+
+    @staticmethod
+    def invoke(tmp_path, command, doc):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        return CliRunner().invoke(main, [command, "--config", str(path)])
+
+    @pytest.mark.parametrize("doc", [
+        make_doc(method="exact", n_grid=[HUGE]),
+        {**DP_KRR2, "quantity": "IX1", "method": "exact", "n_grid": [HUGE]},
+        {**DP_KRR2, "quantity": "IK", "method": "exact", "n_grid": [HUGE]},
+    ])
+    def test_exact_keeps_its_resource_limit(self, tmp_path, doc):
+        result = self.invoke(tmp_path, "validate", doc)
+        assert result.exit_code == 2
+        assert result.output.startswith(f"n_grid: resource-limit: exact method at n={HUGE}: ")
+        result = self.invoke(tmp_path, "run", doc)
+        assert result.exit_code == 3 and result.output.startswith("resource limit: ")
+
+    def test_the_position_bound_runs(self, tmp_path):
+        doc = {**DP_KRR2, "quantity": "IK", "method": "bounds", "n_grid": [4, HUGE]}
+        assert self.invoke(tmp_path, "validate", doc).output == "ok\n"
+        result = self.invoke(tmp_path, "run", doc)
+        assert result.exit_code == 0
+        rows = list(csv.DictReader(io.StringIO(result.output)))
+        assert [r["n"] for r in rows] == ["4", str(HUGE)]
+        assert rows[0]["value_nats"] == rows[1]["value_nats"] == "2"
 
 
 class TestNestedLiterals:
@@ -566,6 +636,28 @@ class TestCli:
         assert result.exit_code == 2 and isinstance(result.exception, SystemExit)
         assert f"Invalid value for '{option}'" in result.output
 
+    @pytest.mark.parametrize("seed", [str(2**64), "-1"])
+    def test_seed_outside_64_bits_exits_2(self, tmp_path, seed):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(make_doc(samples=300)))
+        for args in (["run", "--config", str(path)], ["preset", "fig2"]):
+            result = CliRunner().invoke(main, [*args, "--seed", seed])
+            assert result.exit_code == 2 and isinstance(result.exception, SystemExit)
+            assert "Invalid value for '--seed'" in result.output
+        for estimate in (montecarlo.estimate_position_mi, montecarlo.estimate_message_mi):
+            with pytest.raises(InvalidParameterError, match="seed"):
+                estimate(make_zipf(4, 0.7), make_uniform(4), 4, 100, int(seed))
+        with pytest.raises(InvalidParameterError, match="seed"):
+            montecarlo.estimate_input_mi(make_krr(2, 1.0), make_uniform(2), 4, 100, int(seed))
+
+    def test_the_largest_seed_runs(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(make_doc(samples=300, seed=2**64 - 1)))
+        result = CliRunner().invoke(main, ["run", "--config", str(path)])
+        assert result.exit_code == 0
+        override = CliRunner().invoke(main, ["run", "--config", str(path), "--seed", "0"])
+        assert override.exit_code == 0 and override.output != result.output
+
     @pytest.mark.parametrize("option", ["--samples", "--workers"])
     @pytest.mark.parametrize("value", ["0", "-3"])
     def test_preset_nonpositive_count_exits_2(self, option, value):
@@ -619,6 +711,21 @@ class TestCli:
         assert calls == [] and not (tmp_path / "absent").exists()
         assert result.stderr.startswith("output error: ") and result.stderr.count("\n") == 1
 
+
+    @pytest.mark.parametrize("command", ["run", "preset"])
+    def test_failed_out_write_exits_2(self, tmp_path, monkeypatch, command):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(make_doc(samples=300)))
+
+        def full_disk(self, text):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(Path, "write_text", full_disk)
+        out = tmp_path / "out.csv"
+        args = ["run", "--config", str(path)] if command == "run" else ["preset", "fig1"]
+        result = CliRunner().invoke(main, [*args, "--out", str(out)])
+        assert result.exit_code == 2 and isinstance(result.exception, SystemExit)
+        assert result.stderr == f"output error: {out}: {os.strerror(errno.ENOSPC)}\n"
 
 class TestHugeStateCounts:
     """State counts past 10^15, which the diagnostic prints as ~10^d."""

@@ -14,9 +14,9 @@ import time
 import pytest
 
 from shuffleleak import exact, montecarlo, runner
-from shuffleleak.config import ExperimentConfig, exact_cell
+from shuffleleak.config import ExperimentConfig
 from shuffleleak.errors import ResourceLimitError
-from shuffleleak.runner import ResultRow, run_configs, to_csv
+from shuffleleak.runner import ResultRow, cell, run_configs, to_csv
 from shuffleleak import make_krr, make_uniform, make_zipf
 
 LONG_MC = 3 * montecarlo.BLOCK_SIZE
@@ -65,9 +65,9 @@ def mixed_batch():
 
 class TestDispatch:
     def test_the_mixed_batch_has_every_kind_of_cell(self):
-        states = exact_cell(mixed_batch()[1], 40)[0]
+        states = cell(mixed_batch()[1], 40, "exact", 0)[0]
         assert exact.CHUNK_ROWS < states <= exact.MAX_STATES
-        assert exact_cell(mixed_batch()[2], 10**6)[0] > exact.MAX_STATES
+        assert cell(mixed_batch()[2], 10**6, "exact", 0)[0] > exact.MAX_STATES
         assert LONG_MC > montecarlo.BLOCK_SIZE
 
     def test_bytes_do_not_depend_on_workers(self):
