@@ -33,13 +33,15 @@ count exceeds MAX_STATES. Two kinds of machinery live here:
   i.i.d. input, each in about 0.15-0.25 s on one core.
 - A dense driver for a target row among other users whose rows differ
   (fixed inputs, heterogeneous covers). It convolves the other rows into
-  the law of their counts on the (n + 1)^(k - 1) count grid and returns
-  it shifted by each target message a, s[a](h) = P_others(h - e_a). Two
-  statistics read it: input leakage takes the signal statistic of the
-  shifts mixed through the target's kernel rows, and position leakage
-  with fixed inputs weighs them by the target's row,
+  the law of their counts on the C(n + k - 1, k - 1) histograms that
+  ``_bounded_vectors`` enumerates, the engine's order, and returns it
+  shifted by each target message a, s[a](h) = P_others(h - e_a). The
+  (n + 1)^(k - 1) grid of counts is only a sort key: no array of its size
+  is built. Two statistics read the shifts: input leakage takes the signal
+  statistic of the shifts mixed through the target's kernel rows, and
+  position leakage with fixed inputs weighs them by the target's row,
   t_a = R[x_1, a] s[a], with the position posterior proportional to
-  t_a / h_a. Its work is n (n + 1)^(k - 1): at k = 4 the ceiling allows
+  t_a / h_a. Its charge is n (n + 1)^(k - 1): at k = 4 the ceiling allows
   n = 55.
 
 Finite-n closed forms built from binomial expectations are exact and
@@ -98,9 +100,9 @@ def states_input_mi(n: int, n_outputs: int) -> int:
 
 
 def states_position_dp(n: int, n_outputs: int) -> int:
-    """Work of the dense driver behind the fixed-input and heterogeneous
-    oracles: n draws (the target's included), each updating every cell of
-    the (n + 1)^(k - 1) grid of counts."""
+    """Charge of the dense driver behind the fixed-input and heterogeneous
+    oracles: n draws (the target's included), each charged the (n + 1)^(k - 1)
+    cells of the grid of counts that bounds its histograms."""
     return n * (n + 1) ** (n_outputs - 1)
 
 
@@ -171,23 +173,6 @@ def weighted_histograms(n: int, q: np.ndarray) -> Iterator[tuple[np.ndarray, np.
         yield h, np.exp(log_fact[n] - log_fact[h].sum(axis=0) + (h * logq).sum(axis=0))
 
 
-def _histogram_mean(
-    n: int, q: np.ndarray, statistic: Callable[[np.ndarray], np.ndarray]
-) -> float:
-    """E[statistic(h)] for h ~ Mult(n, q), by enumerating every h.
-
-    ``statistic`` maps a (len(q), rows) chunk of histograms to one value
-    per histogram. The weights are divided by their own sum, so the lgamma
-    table's shared rounding cancels. Chunk partials are summed with fsum
-    in a fixed order.
-    """
-    num, den = [], []
-    for h, weight in weighted_histograms(n, q):
-        num.append(float((weight * statistic(h)).sum()))
-        den.append(float(weight.sum()))
-    return math.fsum(num) / math.fsum(den)
-
-
 @dataclass(frozen=True)
 class HistogramForm:
     """A leakage quantity at population n: E[statistic(h)] for
@@ -207,10 +192,18 @@ class HistogramForm:
 
 
 def _histogram_value(n: int, form: HistogramForm) -> float:
-    """The exact driver: the form's value by enumerating every histogram."""
+    """The exact driver: the form's value by enumerating every histogram.
+
+    The weights are divided by their own sum, so the lgamma table's shared
+    rounding cancels. Chunk partials are summed with fsum in a fixed order.
+    """
     if not form.target.any():  # every target message is hidden
         return form.constant
-    return math.fsum([_histogram_mean(n, form.cover, form.statistic), form.constant])
+    num, den = [], []
+    for h, weight in weighted_histograms(n, form.cover):
+        num.append(float((weight * form.statistic(h)).sum()))
+        den.append(float(weight.sum()))
+    return math.fsum([math.fsum(num) / math.fsum(den), form.constant])
 
 
 def _visible_split(p: Categorical, q: Categorical, n: int) -> tuple[np.ndarray, ...]:
@@ -229,11 +222,6 @@ def _or_one(v: np.ndarray) -> np.ndarray:
     return np.where(v > 0, v, 1.0)
 
 
-def _s_log_n_over_s(s: np.ndarray, n: int) -> np.ndarray:
-    """S log(n / S) per histogram, 0 where S = 0 (no target mass)."""
-    return s * np.log(n / _or_one(s))
-
-
 def position_form(p: Categorical, q: Categorical, n: int) -> HistogramForm:
     """Position leakage of the two-distribution channel as a histogram form."""
     target, cover, hidden = _visible_split(p, q, n)
@@ -241,7 +229,8 @@ def position_form(p: Categorical, q: Categorical, n: int) -> HistogramForm:
     wlogw = w * np.log(_or_one(w))
 
     def statistic(h):
-        return (wlogw @ h + _s_log_n_over_s(w @ h, n)) / n
+        s = w @ h  # S log(n / S) is 0 where S = 0 (no target mass)
+        return (wlogw @ h + s * np.log(n / _or_one(s))) / n
 
     return HistogramForm(cover, target, statistic, math.fsum(hidden) * math.log(n))
 
@@ -401,28 +390,30 @@ def _shifted_laws(
     The n - 1 other users draw once each from the k-symbol rows
     ``other_rows``, which are read only after the ceiling check passes, and
     the target's message makes n. Returns (s, h), both (k, histograms), over
-    every histogram h of n messages: h[a] is the count of symbol a and
+    the C(n + k - 1, k - 1) histograms h of n messages in the order of
+    ``_bounded_vectors(n, k - 1)``: h[a] is the count of symbol a and
     s[a] = P_others(h - e_a), the law with the target's message taken to
-    be a. The law is built one draw at a time on the (n + 1)^(k - 1) grid
-    of the counts of symbols 1..k-1 (the count of symbol 0 is implicit),
-    so no draw, the target's included, shifts mass off the grid.
+    be a. The law lives on the same histograms (their counts of symbols
+    1..k-1; the count of symbol 0 is implicit) and is built one draw at a
+    time. ``back[a]`` is the index of h - e_a, or of a 0 appended to the
+    law where h_a = 0; it serves both the draws and the final shift. The
+    histograms' flat offsets on the (n + 1)^(k - 1) grid of counts increase
+    in that order, so the grid is only a sort key and is never allocated.
     """
     check_states(states_position_dp(n, k))
-    law = np.zeros((n + 1,) * (k - 1))
-    law[(0,) * (k - 1)] = 1.0
+    tail = np.concatenate(list(_bounded_vectors(n, k - 1)), axis=1)
+    h = np.vstack([n - tail.sum(axis=0), tail])
+    step = np.r_[0, (n + 1) ** np.arange(k - 2, -1, -1)]  # the offset of e_a
+    offset = step @ h
+    back = np.where(h > 0, np.searchsorted(offset, offset - step[:, None]), len(offset))
+    law = np.zeros(len(offset) + 1)
+    law[0] = 1.0  # no other user has drawn: every count is 0
     for row in other_rows:
         new = row[0] * law
-        for axis in range(k - 1):
-            head = (slice(None),) * axis
-            new[head + (slice(1, None),)] += row[axis + 1] * law[head + (slice(0, -1),)]
+        for a in range(1, k):
+            new[:-1] += row[a] * law.take(back[a])
         law = new
-    cells = np.flatnonzero(sum(np.indices(law.shape, sparse=True)) <= n)
-    # flat offset of e_a on the grid; symbol 0 has no axis
-    step = np.array((0,) + law.strides)[:, None] // law.itemsize
-    h = cells // step[1:] % (n + 1)
-    h = np.vstack([n - h.sum(axis=0), h])
-    s = np.where(h > 0, law.ravel()[np.where(h > 0, cells - step, 0)], 0.0)
-    return s, h
+    return law.take(back), h
 
 
 def _input_mi_hist(

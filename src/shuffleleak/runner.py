@@ -50,6 +50,8 @@ class ResultRow:
 
 
 def _derive_seed(seed: int, cfg_index: int, row_index: int) -> int:
+    if not 0 <= seed < montecarlo.SEED_LIMIT:
+        raise InvalidParameterError("seed must be in [0, 2^64)")
     ss = np.random.SeedSequence(entropy=(seed, cfg_index, row_index))
     return int(ss.generate_state(1, np.uint64)[0])
 

@@ -474,6 +474,21 @@ class TestRunner:
         ]
         assert sorted(seen) == sorted(want)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64 + 1])
+    def test_seed_outside_range_raises_before_any_cell(self, monkeypatch, seed):
+        # a config built in Python skips parse_config's seed check
+        ran = []
+        monkeypatch.setattr(runner, "compute_row", lambda *task: ran.append(task))
+        configs = [
+            ExperimentConfig(quantity="IY1", p=make_zipf(3, 0.7), q=make_uniform(3),
+                             n_grid=(4,), samples=100, seed=1, method="exact+mc"),
+            ExperimentConfig(quantity="IY1", p=make_zipf(3, 0.7), q=make_uniform(3),
+                             n_grid=(4,), samples=100, seed=seed, method="mc"),
+        ]
+        with pytest.raises(InvalidParameterError, match=r"seed must be in \[0, 2\^64\)"):
+            run_configs(configs)
+        assert ran == []
+
     def test_dp_ik_rows(self):
         cfg = ExperimentConfig(
             mode="shuffle_dp", quantity="IK", mechanism=make_krr(2, 0.8),

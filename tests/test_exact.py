@@ -273,6 +273,16 @@ class TestInputOracles:
                 brute_input_mi_sequence(r, prior, x_rest), abs=1e-12
             )
 
+    def test_fixed_others_matches_brute_force_at_five_outputs(self):
+        from oracles import brute_input_mi_sequence
+
+        r = make_krr(5, 0.7)
+        prior = Categorical(r.input_labels, (0.1, 0.3, 0.2, 0.25, 0.15))
+        for x_rest in ((), (4,), (1, 5), (2, 2, 3)):
+            assert input_mi_fixed_others(r, prior, x_rest) == pytest.approx(
+                brute_input_mi_sequence(r, prior, x_rest), abs=1e-12
+            )
+
     def test_data_processing_blanket_reduction(self):
         # leakage through the true channel never exceeds the reduced channel
         rng = np.random.default_rng(9)
@@ -305,6 +315,12 @@ class TestPositionFixedInputs:
             (make_krr(4, 1.2), ((4, 1), (1, 2, 3), (2, 4, 4, 1), (1, 2, 3, 4, 1))),
             (Randomizer((1, 2), ("a", "b", "c"), [[0.7, 0.3, 0.0], [0.1, 0.2, 0.7]]),
              ((1, 2, 2), (2, 1, 1, 2))),
+            (make_krr(5, 0.8), ((5, 1), (2, 4, 4), (1, 3, 5, 2))),
+            (Randomizer((1, 2, 3), tuple("abcdef"),
+                        [[0.3, 0.0, 0.2, 0.1, 0.4, 0.0],
+                         [0.05, 0.25, 0.0, 0.3, 0.15, 0.25],
+                         [0.0, 0.1, 0.5, 0.0, 0.1, 0.3]]),
+             ((1, 2), (3, 1, 2), (2, 3, 3, 1))),
         )
         for r, inputs in cases:
             for xs in inputs:
@@ -376,6 +392,21 @@ class TestPositionFixedInputs:
                 else:
                     with pytest.raises(ResourceLimitError):
                         call()
+
+    def test_dense_memory_is_on_the_histograms(self):
+        # kRR10 at n = 4: the law lives on the 715 histograms; one float64
+        # array over the 5^9 cells of the grid of counts would take 15 MiB
+        r = make_krr(10, 1.0)
+        calls = (lambda: position_mi_fixed_inputs(r, (1, 2, 3, 4)),
+                 lambda: input_mi_fixed_others(r, make_uniform(10), (2, 3, 4)))
+        for call in calls:
+            tracemalloc.start()
+            try:
+                call()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 4 * 2**20
 
 
 class TestHistogramEngine:
