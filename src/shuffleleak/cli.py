@@ -13,10 +13,11 @@ import click
 
 from .config import parse_config
 from .errors import ResourceLimitError
-from .montecarlo import SEED_LIMIT
+from .montecarlo import MIN_SAMPLES, SEED_LIMIT
 from .runner import ceiling_diagnostics, preset_configs, run_configs, to_csv
 
 SEED = click.IntRange(0, SEED_LIMIT, max_open=True)
+SAMPLES = click.IntRange(min=MIN_SAMPLES)
 
 
 def _parse_file(path: str):
@@ -58,7 +59,7 @@ def main():
 @main.command()
 @click.option("--config", "config_path", required=True, type=click.Path())
 @click.option("--out", type=click.Path(), default=None, help="Write CSV here instead of stdout.")
-@click.option("--samples", type=click.IntRange(min=1), default=None,
+@click.option("--samples", type=SAMPLES, default=None,
               help="Override Monte Carlo sample count.")
 @click.option("--seed", type=SEED, default=None, help="Override the config seed.")
 @click.option("--workers", type=click.IntRange(min=1), default=1, show_default=True)
@@ -89,7 +90,7 @@ def validate(config_path):
 @main.command()
 @click.argument("name", type=click.Choice(["fig1", "fig2", "fig3"]))
 @click.option("--out", type=click.Path(), default=None)
-@click.option("--samples", type=click.IntRange(min=1), default=None)
+@click.option("--samples", type=SAMPLES, default=None)
 @click.option("--seed", type=SEED, default=None)
 @click.option("--workers", type=click.IntRange(min=1), default=1, show_default=True)
 def preset(name, out, samples, seed, workers):

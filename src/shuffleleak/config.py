@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import InvalidParameterError
 from .mechanisms import Randomizer, make_krr
-from .montecarlo import DEFAULT_SAMPLES, MAX_N, SEED_LIMIT
+from .montecarlo import DEFAULT_SAMPLES, MAX_N, MIN_SAMPLES, SEED_LIMIT
 from .probability import Categorical, make_uniform, make_zipf
 
 MODES = ("shuffle_only", "shuffle_dp")
@@ -212,8 +212,8 @@ def parse_config(doc) -> tuple[ExperimentConfig | None, list[Diagnostic]]:
         diags.append(Diagnostic("n_grid", "must be a nonempty list of positive integers"))
 
     samples = doc.get("samples", DEFAULT_SAMPLES)
-    if not _is_int(samples) or samples < 1:
-        diags.append(Diagnostic("samples", "must be a positive integer"))
+    if not _is_int(samples) or samples < MIN_SAMPLES:
+        diags.append(Diagnostic("samples", f"must be an integer of at least {MIN_SAMPLES}"))
 
     seed = doc.get("seed", 0)
     if not _is_int(seed) or not 0 <= seed < SEED_LIMIT:

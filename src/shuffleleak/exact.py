@@ -44,6 +44,21 @@ count exceeds MAX_STATES. Two kinds of machinery live here:
   t_a / h_a. Its charge is n (n + 1)^(k - 1): at k = 4 the ceiling allows
   n = 55.
 
+A small simplex is enumerated once per process. A cache keyed by
+(n, symbols) keeps the histograms of n messages when there are at most
+SIMPLEX_ROWS = 4096 of them (the Monte Carlo table's bound) over 2 to
+SIMPLEX_SYMBOLS = 8 symbols, for at most SIMPLEX_ENTRIES = 32 simplices,
+dropping the least recently used. An entry holds the int64 histograms in
+``_bounded_vectors`` order, their coefficients log n! - sum_j log h_j! and
+the back map of the dense law, all read-only. The engine's weights
+exp(coef + h . log q) from it are the floats an enumeration gives; the
+Monte Carlo table reads it through the engine, and ``_shifted_laws`` takes
+its histograms and back map. An entry takes 8 rows (2 symbols + 1) bytes,
+at most 0.47 MB (8 symbols, n = 7, 3432 histograms), so the cache holds at
+most 15 MB; the 20 simplices of n <= 8 at m = 2..5 take 0.1 MB. One lock
+covers every lookup and build, so threads that ask for a simplex together
+share one build and get the same arrays.
+
 Finite-n closed forms built from binomial expectations are exact and
 enumerate nothing. Their Bin(n, p) pmf is built in numpy from the ratio
 of consecutive terms, outward from the mode, and divided by its sum; its
@@ -56,6 +71,8 @@ at that n (2.9 ms with the library's pmf).
 from __future__ import annotations
 
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from math import comb, lgamma
 from typing import Callable, Iterable, Iterator, Sequence
@@ -74,6 +91,9 @@ from .probability import Categorical, align, union_labels
 
 MAX_STATES = 10_000_000  # the state ceiling of every exact oracle; exceeding it raises
 CHUNK_ROWS = 1 << 14  # histogram rows per enumerated chunk; bounds the engine's memory
+SIMPLEX_ROWS = 4096  # the most histograms a cached simplex holds: the Monte Carlo table's bound
+SIMPLEX_SYMBOLS = 8  # the most symbols a cached simplex has; bounds an entry at 0.47 MB
+SIMPLEX_ENTRIES = 32  # simplices cached at once
 
 
 def check_states(states: int) -> None:
@@ -152,6 +172,68 @@ def _log_factorials(n: int) -> np.ndarray:
     return table
 
 
+def _histogram_chunks(n: int, symbols: int) -> Iterator[np.ndarray]:
+    """Every histogram of n messages over ``symbols`` symbols, in
+    ``_bounded_vectors`` order of the counts of symbols 1.. and in (symbols,
+    rows) int64 chunks of at most CHUNK_ROWS; symbol 0 has what the others
+    leave of n."""
+    for tail in _bounded_vectors(n, symbols - 1):
+        h = np.empty((symbols, tail.shape[1]), dtype=np.int64)
+        h[0] = n - tail.sum(axis=0)
+        h[1:] = tail
+        yield h
+
+
+def _log_coefficients(n: int, h: np.ndarray) -> np.ndarray:
+    """log n! - sum_j log h_j! for each histogram of a chunk."""
+    log_fact = _log_factorials(n)
+    return log_fact[n] - log_fact[h].sum(axis=0)
+
+
+def _back_map(n: int, h: np.ndarray) -> np.ndarray:
+    """For histograms h of n messages in ``_histogram_chunks`` order,
+    back[a] is the index of h - e_a, or len(h[0]) where h_a = 0. Their flat
+    offsets on the (n + 1)^(k - 1) grid of counts of symbols 1..k-1 increase
+    in that order, so each index is one search and the grid is never built."""
+    step = np.r_[0, (n + 1) ** np.arange(len(h) - 2, -1, -1)]  # the offset of e_a
+    offset = step @ h
+    return np.where(h > 0, np.searchsorted(offset, offset - step[:, None]), len(offset))
+
+
+_SIMPLICES: OrderedDict = OrderedDict()
+_SIMPLICES_LOCK = threading.Lock()
+
+
+def _is_small(n: int, symbols: int) -> bool:
+    """Whether the simplex cache keeps the histograms of n messages over
+    ``symbols`` symbols."""
+    return 2 <= symbols <= SIMPLEX_SYMBOLS and comb(n + symbols - 1, symbols - 1) <= SIMPLEX_ROWS
+
+
+def _small_simplex(n: int, symbols: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(h, coef, back) of a simplex ``_is_small`` admits, from the cache:
+    its histograms as one ``_histogram_chunks`` chunk, their
+    ``_log_coefficients`` and their ``_back_map``, all read-only.
+
+    A simplex is built at most once while it stays cached: the lock is held
+    over the build, so threads that ask for it together get the same arrays.
+    """
+    key = (n, symbols)
+    with _SIMPLICES_LOCK:
+        entry = _SIMPLICES.get(key)
+        if entry is not None:
+            _SIMPLICES.move_to_end(key)
+            return entry
+        [h] = _histogram_chunks(n, symbols)  # SIMPLEX_ROWS <= CHUNK_ROWS: one chunk
+        entry = (h, _log_coefficients(n, h), _back_map(n, h))
+        for array in entry:
+            array.flags.writeable = False
+        _SIMPLICES[key] = entry
+        if len(_SIMPLICES) > SIMPLEX_ENTRIES:
+            _SIMPLICES.popitem(last=False)
+        return entry
+
+
 def weighted_histograms(n: int, q: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Every histogram h of n messages over len(q) symbols, in a fixed order
     and in chunks of at most CHUNK_ROWS: pairs (h, weight) of a (len(q),
@@ -159,18 +241,20 @@ def weighted_histograms(n: int, q: np.ndarray) -> Iterator[tuple[np.ndarray, np.
 
     ``q`` must be positive. The weights come from one lgamma table, so
     they sum to 1 only up to the table's shared rounding; a reader
-    divides by their sum.
+    divides by their sum. A small simplex (``_is_small``) comes from the
+    cache, as one read-only chunk; its weights are the same floats as an
+    enumerated chunk's.
     """
     if len(q) == 1:  # one symbol: h = (n) surely, and n may be far beyond any table
         yield np.full((1, 1), n), np.ones(1)
         return
-    log_fact = _log_factorials(n)
     logq = np.log(q)[:, None]
-    for tail in _bounded_vectors(n, len(q) - 1):
-        h = np.empty((len(q), tail.shape[1]), dtype=np.int64)
-        h[0] = n - tail.sum(axis=0)
-        h[1:] = tail
-        yield h, np.exp(log_fact[n] - log_fact[h].sum(axis=0) + (h * logq).sum(axis=0))
+    if _is_small(n, len(q)):
+        chunks = [_small_simplex(n, len(q))[:2]]
+    else:
+        chunks = ((h, _log_coefficients(n, h)) for h in _histogram_chunks(n, len(q)))
+    for h, coef in chunks:
+        yield h, np.exp(coef + (h * logq).sum(axis=0))
 
 
 @dataclass(frozen=True)
@@ -396,17 +480,17 @@ def _shifted_laws(
     be a. The law lives on the same histograms (their counts of symbols
     1..k-1; the count of symbol 0 is implicit) and is built one draw at a
     time. ``back[a]`` is the index of h - e_a, or of a 0 appended to the
-    law where h_a = 0; it serves both the draws and the final shift. The
-    histograms' flat offsets on the (n + 1)^(k - 1) grid of counts increase
-    in that order, so the grid is only a sort key and is never allocated.
+    law where h_a = 0 (``_back_map``); it serves both the draws and the
+    final shift. Both depend on n and k only, so a small simplex
+    (``_is_small``) takes them from the cache.
     """
     check_states(states_position_dp(n, k))
-    tail = np.concatenate(list(_bounded_vectors(n, k - 1)), axis=1)
-    h = np.vstack([n - tail.sum(axis=0), tail])
-    step = np.r_[0, (n + 1) ** np.arange(k - 2, -1, -1)]  # the offset of e_a
-    offset = step @ h
-    back = np.where(h > 0, np.searchsorted(offset, offset - step[:, None]), len(offset))
-    law = np.zeros(len(offset) + 1)
+    if _is_small(n, k):
+        h, _, back = _small_simplex(n, k)
+    else:
+        h = np.concatenate(list(_histogram_chunks(n, k)), axis=1)
+        back = _back_map(n, h)
+    law = np.zeros(h.shape[1] + 1)
     law[0] = 1.0  # no other user has drawn: every count is 0
     for row in other_rows:
         new = row[0] * law

@@ -14,7 +14,8 @@ so the only error is statistical; the hidden part is added exactly.
 Where h takes at most BLOCK_SIZE values, C(n + m - 1, m - 1) for m
 visible symbols (every row of n <= 8 at m <= 5, and n = 16 at m = 4),
 the same law is drawn from a table instead (``_scorer``): the exact
-oracles' enumeration gives every h with its multinomial weight, and
+oracles' enumeration gives every h with its multinomial weight (the
+histograms of a small simplex come from ``exact``'s cache), and
 every h is scored and controlled, once per estimate; each block then
 draws table entries by inverse CDF and gathers their scores. On a
 2-vCPU host one 4096-draw block at m = 4 or 5 costs 0.9-1.2 ms by
@@ -75,6 +76,7 @@ from .probability import Categorical
 
 BLOCK_SIZE = 4096
 DEFAULT_SAMPLES = 100_000  # samples per estimate when a config or call gives none
+MIN_SAMPLES = 2  # one sample has no spread, so its stderr would read 0
 MIN_STEP = 0.125  # smallest design step of the control, in counts
 MAX_N = 1 << 63  # the n - 1 cover counts of a draw are an int64
 SEED_LIMIT = 1 << 64  # a seed is the high half of each block's 128-bit Philox key
@@ -115,7 +117,7 @@ def _estimate(stat_fn, samples: int, seed: int) -> EstimatorResult:
         mean += delta * size / count
         m2 += float(np.sum((stats - block_mean) ** 2))
         m2 += delta * delta * (count - size) * size / count
-    stderr = math.sqrt(m2 / (samples - 1) / samples) if samples > 1 else 0.0
+    stderr = math.sqrt(m2 / (samples - 1) / samples)
     return EstimatorResult(math.fsum(sums) / samples, stderr, samples, seed)
 
 
@@ -333,8 +335,8 @@ def _block_scores(scores: np.ndarray, ctl: np.ndarray) -> np.ndarray:
 def _sample(form: HistogramForm, n: int, samples: int, seed: int) -> EstimatorResult:
     """The Monte Carlo driver: the form's value from ``samples`` controlled
     scores."""
-    if samples < 1:
-        raise InvalidParameterError("samples must be at least 1")
+    if samples < MIN_SAMPLES:
+        raise InvalidParameterError(f"samples must be at least {MIN_SAMPLES}")
     if n > MAX_N:
         raise InvalidParameterError("Monte Carlo needs n at most 2^63")
     if not 0 <= seed < SEED_LIMIT:

@@ -16,6 +16,12 @@ runs in two phases: the calling thread first runs the short cells in plan
 order, then a pool runs the long cells (only those ahead of the first
 short cell that raised, if one did). Short cells go first so that an
 inline failure starts no pooled cell; any other batch runs inline.
+
+``run_configs`` plans each config's methods once and builds each cell once,
+before any runs, passing its call to ``compute_row``. A config's cells
+share one ``_Shared``, the values no n changes, for that run only. Of
+these, pooled cells read only the prior; two threads that first read it
+together may each build it, to equal values.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ import csv
 import io
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import cycle, islice
 from typing import Sequence
 
@@ -56,7 +63,48 @@ def _derive_seed(seed: int, cfg_index: int, row_index: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def cell(cfg: ExperimentConfig, n: int, method: str, seed: int):
+class _Shared:
+    """The values of a config that no n changes, each built when a cell
+    first reads it and then shared by the config's other cells. Each looks
+    up what builds it (``asym.*``, ``blanket_of_randomizer``,
+    ``ldp_epsilon``) at that time. One is made per config and run; an error
+    is not kept, so every cell that reads the value raises it again."""
+
+    def __init__(self, cfg: ExperimentConfig):
+        self.cfg = cfg
+
+    @cached_property
+    def expansion(self) -> asym.AsymptoticTerm:
+        """The shuffle-only expansion of the config's quantity."""
+        cfg = self.cfg
+        form = asym.position_mi_expansion if cfg.quantity == "IK" else asym.message_mi_expansion
+        return form(cfg.p, cfg.cover)
+
+    @cached_property
+    def prior(self):
+        return self.cfg.input_prior()
+
+    @cached_property
+    def prior_vec(self) -> np.ndarray:
+        return exact._prior_vector(self.prior, self.cfg.mechanism.input_labels)
+
+    @cached_property
+    def marginal(self) -> np.ndarray:
+        """The output marginal: the law of one user's message."""
+        return self.prior_vec @ self.cfg.mechanism.kernel
+
+    @cached_property
+    def eps0(self) -> float:
+        return ldp_epsilon(self.cfg.mechanism)
+
+    @cached_property
+    def blanket_chi2(self) -> float:
+        """The prior's mean chi-square of the rows from the generalized blanket."""
+        r = self.cfg.mechanism
+        return asym.mean_chi2(self.prior, r, blanket_of_randomizer(r).generalized_blanket)
+
+
+def cell(cfg: ExperimentConfig, n: int, method: str, seed: int, shared: _Shared | None = None):
     """One planned (n, method) cell of a config, as (work, call).
 
     ``work`` is what the cell costs, known without running it: the state
@@ -65,8 +113,12 @@ def cell(cfg: ExperimentConfig, n: int, method: str, seed: int):
     a Monte Carlo row, or 0 for an expansion or a bound. ``call()`` returns
     (value, stderr), stderr None but for Monte Carlo; an exact call raises
     ResourceLimitError over the ceiling. Every function a call evaluates
-    is looked up when it runs.
+    is looked up when it runs. ``shared`` holds the config's values that no
+    n changes, one for all the cells of a config that a run builds; a cell
+    built without it makes its own.
     """
+    if shared is None:
+        shared = _Shared(cfg)
     if cfg.mode == "shuffle_only":
         p, q = cfg.p, cfg.cover
         ik = cfg.quantity == "IK"
@@ -79,15 +131,13 @@ def cell(cfg: ExperimentConfig, n: int, method: str, seed: int):
             return cfg.samples, lambda: _value_and_stderr(
                 (montecarlo.estimate_position_mi if ik else montecarlo.estimate_message_mi)(
                     p, q, n, cfg.samples, seed))
-        return 0, lambda: (
-            (asym.position_mi_expansion if ik else asym.message_mi_expansion)(p, q).evaluate(n),
-            None)
+        return 0, lambda: (shared.expansion.evaluate(n), None)
 
     r = cfg.mechanism
     k = len(r.output_labels)
     if method == "exact" and cfg.quantity == "IX1":
         return exact.states_input_mi(n, k), lambda: (
-            exact.input_mi_iid_others(r, cfg.input_prior(), n), None)
+            exact.input_mi_iid_others(r, shared.prior, n), None)
     if method == "exact":
         states = exact.states_position_dp(n, k)
 
@@ -99,20 +149,18 @@ def cell(cfg: ExperimentConfig, n: int, method: str, seed: int):
         return states, fixed_inputs
     if method == "mc":
         return cfg.samples, lambda: _value_and_stderr(
-            montecarlo.estimate_input_mi(r, cfg.input_prior(), n, cfg.samples, seed))
+            montecarlo.estimate_input_mi(r, shared.prior, n, cfg.samples, seed))
 
     def expansion_or_bound():
         if method == "asym":
-            px = exact._prior_vector(cfg.input_prior(), r.input_labels)
-            return asym.signal_rate(px, r.kernel, [px @ r.kernel], [n - 1])
+            return asym.signal_rate(shared.prior_vec, r.kernel, [shared.marginal], [n - 1])
         if method == "bound_unified":
-            return asym.input_mi_dp_bound(ldp_epsilon(r), n)
+            return asym.input_mi_dp_bound(shared.eps0, n)
         if method == "bound_blanket":
-            qb = blanket_of_randomizer(r).generalized_blanket
-            return asym.mean_chi2(cfg.input_prior(), r, qb) / (2.0 * n)
+            return shared.blanket_chi2 / (2.0 * n)
         if method == "bound_position":
-            return asym.position_mi_dp_bound(ldp_epsilon(r))
-        return asym.clone_message_bound(k, ldp_epsilon(r), n)
+            return asym.position_mi_dp_bound(shared.eps0)
+        return asym.clone_message_bound(k, shared.eps0, n)
 
     return 0, lambda: (expansion_or_bound(), None)
 
@@ -121,13 +169,18 @@ def _value_and_stderr(est: montecarlo.EstimatorResult) -> tuple[float, float]:
     return est.estimate, est.stderr
 
 
-def compute_row(cfg: ExperimentConfig, n: int, method: str, row_seed: int) -> ResultRow | None:
+def compute_row(cfg: ExperimentConfig, n: int, method: str, row_seed: int,
+                call=None) -> ResultRow | None:
     """Evaluate one (n, method) cell of a config. Returns None when an
-    exact cell is skipped for exceeding the ceiling under 'all'."""
-    if method not in cell_methods(cfg):
-        raise InvalidParameterError(f"method {method!r} is not planned for this config")
+    exact cell is skipped for exceeding the ceiling under 'all'. ``call``
+    is the cell's call when the caller has built it (``cell``); otherwise
+    the method must be planned, and the cell is built here."""
+    if call is None:
+        if method not in cell_methods(cfg):
+            raise InvalidParameterError(f"method {method!r} is not planned for this config")
+        call = cell(cfg, n, method, row_seed)[1]
     try:
-        value, stderr = cell(cfg, n, method, row_seed)[1]()
+        value, stderr = call()
     except ResourceLimitError:  # only an exact call raises it
         if cfg.method == "all":
             return None
@@ -135,11 +188,10 @@ def compute_row(cfg: ExperimentConfig, n: int, method: str, row_seed: int) -> Re
     return ResultRow(cfg.label, n, method, cfg.quantity, value, stderr)
 
 
-def _is_long(cfg: ExperimentConfig, n: int, method: str) -> bool:
+def _is_long(method: str, work: int) -> bool:
     """True for a cell of several pieces of numpy work: a Monte Carlo row of
     more than one block, or an exact cell whose work is above one chunk and
     within the ceiling (a cell over it only raises or is skipped)."""
-    work = cell(cfg, n, method, 0)[0]
     if method == "mc":
         return work > montecarlo.BLOCK_SIZE
     return exact.CHUNK_ROWS < work <= exact.MAX_STATES
@@ -173,15 +225,19 @@ def run_configs(configs: Sequence[ExperimentConfig], workers: int = 1) -> list[R
     cell runs on the calling thread. A failing batch raises the error of
     its first failing cell in plan order, as one worker does.
     """
-    tasks = []
+    tasks, works = [], []
     for ci, cfg in enumerate(configs):
+        shared, methods = _Shared(cfg), cell_methods(cfg)
         for n in cfg.n_grid:
-            for method in cell_methods(cfg):
+            for method in methods:
                 # only Monte Carlo rows use a seed; the index is the plan position
                 seed = _derive_seed(cfg.seed, ci, len(tasks)) if method == "mc" else 0
-                tasks.append((cfg, n, method, seed))
+                work, call = cell(cfg, n, method, seed, shared)
+                tasks.append((cfg, n, method, seed, call))
+                works.append(work)
 
-    long = [i for i, task in enumerate(tasks) if _is_long(*task[:3])] if workers > 1 else []
+    long = [i for i, (task, work) in enumerate(zip(tasks, works))
+            if _is_long(task[2], work)] if workers > 1 else []
     if len(long) < 2:
         long = []
     results: list[ResultRow | None] = [None] * len(tasks)

@@ -107,6 +107,13 @@ class TestValidation:
         _, diags = parse_config(make_doc(samples=-5))
         assert [d.field for d in diags] == ["samples"]
 
+    def test_one_sample_is_refused(self):
+        # one sample has no spread: its stderr would read 0
+        cfg, diags = parse_config(make_doc(samples=1))
+        assert cfg is None and [str(d) for d in diags] == ["samples: must be an integer of at least 2"]
+        cfg, diags = parse_config(make_doc(samples=2))
+        assert cfg is not None and diags == []
+
     def test_exact_resource_limit_diagnostic(self):
         cfg, diags = parse_config(
             make_doc(method="exact", n_grid=[1_000_000])
@@ -679,6 +686,23 @@ class TestCli:
         result = CliRunner().invoke(main, ["preset", "fig2", option, value])
         assert result.exit_code == 2 and isinstance(result.exception, SystemExit)
         assert f"Invalid value for '{option}'" in result.output
+
+    def test_one_sample_exits_2(self, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(runner, "compute_row", lambda *cell: calls.append(cell))
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(make_doc(samples=300)))
+        for args in (["run", "--config", str(path)], ["preset", "fig2"]):
+            result = CliRunner().invoke(main, [*args, "--samples", "1"])
+            assert result.exit_code == 2 and isinstance(result.exception, SystemExit)
+            assert "Invalid value for '--samples': 1 is not in the range x>=2" in result.output
+        assert calls == []
+
+    def test_one_sample_row_built_in_python_raises(self):
+        cfg = ExperimentConfig(quantity="IY1", p=make_zipf(3, 0.7), q=make_uniform(3),
+                               n_grid=(4,), samples=1, method="asym+mc")
+        with pytest.raises(InvalidParameterError, match="samples must be at least 2"):
+            run_configs([cfg])
 
     def test_blanket_bound_outside_the_blanket_support(self, tmp_path):
         # row 2 puts mass on output 2, which the generalized blanket lacks

@@ -1,4 +1,5 @@
 import math
+import threading
 import tracemalloc
 import warnings
 
@@ -538,3 +539,92 @@ class TestHistogramEngine:
         monkeypatch.setattr(exact, "MAX_STATES", 4096)
         with pytest.raises(ResourceLimitError, match=r"needs 4097 states"):
             input_mi_iid_others(make_krr(2, 0.5), make_uniform(2), 4096)
+
+
+class TestSimplexCache:
+    """The process-wide cache of small histogram simplices: its readers get
+    the floats an enumeration gives, it stores only what it admits, and it
+    hands out one read-only entry per simplex."""
+
+    GRID = [(n, m) for m in range(1, 7) for n in (1, 2, 3, 5, 8, 13)] + [
+        (4095, 2), (4096, 2), (2, 9), (15, 5), (16, 5), (7, 8),
+    ]
+
+    @pytest.fixture
+    def cache(self, monkeypatch):
+        """A fresh, empty cache for the test."""
+        fresh = exact.OrderedDict()
+        monkeypatch.setattr(exact, "_SIMPLICES", fresh)
+        return fresh
+
+    @staticmethod
+    def readers(n, m):
+        """The raw bytes of what each cache reader returns at (n, m)."""
+        rng = np.random.default_rng(1000 * n + m)
+        q = rng.dirichlet(np.ones(m))
+        chunks = list(exact.weighted_histograms(n, q))
+        out = [a.tobytes() for chunk in chunks for a in chunk]
+        rows = rng.dirichlet(np.ones(m), size=n - 1)
+        if exact.states_position_dp(n, m) <= exact.MAX_STATES:
+            out += [a.tobytes() for a in exact._shifted_laws(n, m, rows)]
+        return out
+
+    def test_readers_match_the_enumeration_bytes(self, cache, monkeypatch):
+        cached = {key: self.readers(*key) for key in self.GRID}
+        assert (4095, 2) in cache and (4096, 2) not in cache
+        for key in self.GRID:  # the second read comes from the cache
+            assert self.readers(*key) == cached[key], key
+        monkeypatch.setattr(exact, "_is_small", lambda n, symbols: False)
+        for key in self.GRID:
+            assert self.readers(*key) == cached[key], key
+
+    def test_the_monte_carlo_table_reads_the_cache(self, cache):
+        for n, m, tabled in ((16, 4, True), (4095, 2, True), (4096, 2, False)):
+            p, q = make_zipf(m, 0.7), make_uniform(m)
+            first = estimate_position_mi(p, q, n, samples=100, seed=2)
+            assert ((n, m) in cache) == tabled
+            assert estimate_position_mi(p, q, n, samples=100, seed=2) == first
+
+    def test_cached_arrays_are_read_only(self, cache):
+        for array in exact._small_simplex(6, 3):
+            with pytest.raises(ValueError, match="read-only"):
+                array[..., 0] = 0
+        [(h, weight)] = exact.weighted_histograms(6, np.full(3, 1 / 3))
+        with pytest.raises(ValueError, match="read-only"):
+            h += 1
+        weight[0] = 0.0  # the weights are the reader's own
+
+    def test_nothing_above_the_bound_is_stored(self, cache):
+        for n, m in self.GRID:
+            self.readers(n, m)
+        assert set(cache) == {
+            (n, m) for n, m in self.GRID
+            if 2 <= m <= exact.SIMPLEX_SYMBOLS and math.comb(n + m - 1, m - 1) <= exact.SIMPLEX_ROWS
+        }
+        assert {(2, 9), (16, 5), (4096, 2)}.isdisjoint(cache) and (15, 5) in cache
+        # a full cache drops its least recently used simplex first
+        cache.clear()
+        keys = [(n, 2) for n in range(1, exact.SIMPLEX_ENTRIES + 1)]
+        for key in keys:
+            exact._small_simplex(*key)
+        exact._small_simplex(*keys[0])
+        exact._small_simplex(100, 2)
+        assert len(cache) == exact.SIMPLEX_ENTRIES
+        assert keys[1] not in cache and keys[0] in cache and (100, 2) in cache
+
+    def test_threads_share_the_first_build(self, cache):
+        start = threading.Barrier(4)
+        got = [None] * 4
+
+        def first_call(i):
+            start.wait()
+            got[i] = exact._small_simplex(13, 5)
+
+        threads = [threading.Thread(target=first_call, args=(i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert list(cache) == [(13, 5)]
+        for entry in got:
+            assert all(a is b for a, b in zip(entry, cache[13, 5]))

@@ -47,7 +47,7 @@ BATTERY = {
                       "prior": {"type": "explicit", "labels": ["a", "b"],
                                 "probs": [0.3, 0.7]},
                       "n_grid": [3, 20]},
-    # cycled inputs; the dense driver's charge skips n = 2000
+    # cycled inputs; the fixed-input charge skips n = 2000
     "dp_ik": {"mode": "shuffle_dp", "quantity": "IK", "mechanism": KRR3,
               "n_grid": [5, 2000]},
     "dp_ik_fixed": {"mode": "shuffle_dp", "quantity": "IK", "mechanism": KERNEL,

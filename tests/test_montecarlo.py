@@ -132,6 +132,17 @@ class TestDegenerate:
         with pytest.raises(InvalidParameterError):
             estimate_position_mi(U4, U4, 5, samples=0, seed=0)
 
+    def test_rejects_one_sample(self):
+        # its stderr would read 0, even where every target message is hidden
+        hidden = Categorical((9,), (1.0,))  # the cover sends no symbol of ZIPF
+        for estimate, q in ((estimate_position_mi, U4), (estimate_message_mi, hidden)):
+            with pytest.raises(InvalidParameterError, match="samples must be at least 2"):
+                estimate(ZIPF, q, 5, samples=1, seed=0)
+        with pytest.raises(InvalidParameterError, match="samples must be at least 2"):
+            estimate_input_mi(make_krr(4, 1.0), U4, 5, samples=1, seed=0)
+        r = estimate_message_mi(ZIPF, U4, 5, samples=2, seed=0)
+        assert r.samples == 2 and r.stderr > 0
+
     def test_population_beyond_int64_is_refused(self):
         # the n - 1 cover counts of a draw are an int64
         for estimate in (estimate_position_mi, estimate_message_mi):

@@ -34,10 +34,10 @@ def recorded(monkeypatch, fake=None):
     calls = []
     real = runner.compute_row
 
-    def record(cfg, n, method, seed):
+    def record(cfg, n, method, seed, *call):
         calls.append((n, method, threading.get_ident()))
         if fake is None:
-            return real(cfg, n, method, seed)
+            return real(cfg, n, method, seed, *call)
         return fake(cfg, n, method)
 
     monkeypatch.setattr(runner, "compute_row", record)
