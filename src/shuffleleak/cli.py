@@ -22,8 +22,8 @@ SAMPLES = click.IntRange(min=MIN_SAMPLES)
 
 def _parse_file(path: str):
     try:
-        doc = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         click.echo(f"config error: {exc}", err=True)
         sys.exit(2)
     return parse_config(doc)

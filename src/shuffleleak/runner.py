@@ -7,7 +7,7 @@ depend on the worker count.
 
 Worker threads run only long cells, those whose driver splits them into
 several pieces of numpy work: a Monte Carlo row of more than one block, or
-an exact cell within the ceiling whose work (``cell``) is above one
+an exact cell within the ceiling whose work (``cells``) is above one
 enumeration chunk, ``exact.CHUNK_ROWS``. Two such cells can overlap,
 because numpy releases the interpreter lock inside each piece. A short
 cell takes a few hundred µs and holds the lock nearly all the time, so
@@ -17,11 +17,9 @@ order, then a pool runs the long cells (only those ahead of the first
 short cell that raised, if one did). Short cells go first so that an
 inline failure starts no pooled cell; any other batch runs inline.
 
-``run_configs`` plans each config's methods once and builds each cell once,
-before any runs, passing its call to ``compute_row``. A config's cells
-share one ``_Shared``, the values no n changes, for that run only. Of
-these, pooled cells read only the prior; two threads that first read it
-together may each build it, to equal values.
+``run_configs`` builds each config's cell table (``cells``) once, on the
+calling thread and before any cell runs, and passes each cell's call to
+``compute_row``.
 """
 
 from __future__ import annotations
@@ -29,8 +27,8 @@ from __future__ import annotations
 import csv
 import io
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, replace
+from functools import partial
 from itertools import cycle, islice
 from typing import Sequence
 
@@ -63,122 +61,91 @@ def _derive_seed(seed: int, cfg_index: int, row_index: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-class _Shared:
-    """The values of a config that no n changes, each built when a cell
-    first reads it and then shared by the config's other cells. Each looks
-    up what builds it (``asym.*``, ``blanket_of_randomizer``,
-    ``ldp_epsilon``) at that time. One is made per config and run; an error
-    is not kept, so every cell that reads the value raises it again."""
-
-    def __init__(self, cfg: ExperimentConfig):
-        self.cfg = cfg
-
-    @cached_property
-    def expansion(self) -> asym.AsymptoticTerm:
-        """The shuffle-only expansion of the config's quantity."""
-        cfg = self.cfg
-        form = asym.position_mi_expansion if cfg.quantity == "IK" else asym.message_mi_expansion
-        return form(cfg.p, cfg.cover)
-
-    @cached_property
-    def prior(self):
-        return self.cfg.input_prior()
-
-    @cached_property
-    def prior_vec(self) -> np.ndarray:
-        return exact._prior_vector(self.prior, self.cfg.mechanism.input_labels)
-
-    @cached_property
-    def marginal(self) -> np.ndarray:
-        """The output marginal: the law of one user's message."""
-        return self.prior_vec @ self.cfg.mechanism.kernel
-
-    @cached_property
-    def eps0(self) -> float:
-        return ldp_epsilon(self.cfg.mechanism)
-
-    @cached_property
-    def blanket_chi2(self) -> float:
-        """The prior's mean chi-square of the rows from the generalized blanket."""
-        r = self.cfg.mechanism
-        return asym.mean_chi2(self.prior, r, blanket_of_randomizer(r).generalized_blanket)
+def _free(value):
+    """The pair of an expansion or bound row: no work, and no stderr."""
+    return (lambda n: 0), (lambda n, seed: (value(n), None))
 
 
-def cell(cfg: ExperimentConfig, n: int, method: str, seed: int, shared: _Shared | None = None):
-    """One planned (n, method) cell of a config, as (work, call).
+def cells(cfg: ExperimentConfig) -> dict:
+    """The config's planned methods, in plan order, each mapped to a pair
+    (work, value) of functions of n.
 
-    ``work`` is what the cell costs, known without running it: the state
+    ``work(n)`` is what the cell costs, known without running it: the state
     count its exact oracle checks against the ceiling (pmf terms for the
-    matched closed form, grid cells for the dense driver), the samples of
-    a Monte Carlo row, or 0 for an expansion or a bound. ``call()`` returns
-    (value, stderr), stderr None but for Monte Carlo; an exact call raises
-    ResourceLimitError over the ceiling. Every function a call evaluates
-    is looked up when it runs. ``shared`` holds the config's values that no
-    n changes, one for all the cells of a config that a run builds; a cell
-    built without it makes its own.
+    matched closed form, grid cells for the dense driver), the samples of a
+    Monte Carlo row, or 0 for an expansion or a bound. ``value(n, seed)``
+    returns (value, stderr), stderr None but for Monte Carlo; an exact value
+    raises ResourceLimitError over the ceiling. The values that no n changes
+    (the expansion, the prior, the prior vector, eps0, the blanket
+    chi-square) are built here, each only when a planned method reads it;
+    the per-n oracles, estimators and bounds are looked up when a value runs.
     """
-    if shared is None:
-        shared = _Shared(cfg)
+    planned = cell_methods(cfg)
+    table = {}
+    if not planned:  # a config built in Python may plan no row
+        return table
     if cfg.mode == "shuffle_only":
         p, q = cfg.p, cfg.cover
         ik = cfg.quantity == "IK"
-        if method == "exact" and not ik and p.same_mass(q):
-            return exact.states_binomial(p, n), lambda: (exact.matched_message_mi(p, n), None)
-        if method == "exact":
-            return exact.states_shuffle_only(p, q, n), lambda: (
+        if "exact" in planned and not ik and p.same_mass(q):
+            table["exact"] = (lambda n: exact.states_binomial(p, n),
+                              lambda n, seed: (exact.matched_message_mi(p, n), None))
+        elif "exact" in planned:
+            table["exact"] = lambda n: exact.states_shuffle_only(p, q, n), lambda n, seed: (
                 (exact.position_mi_exact if ik else exact.message_mi_exact)(p, q, n), None)
-        if method == "mc":
-            return cfg.samples, lambda: _value_and_stderr(
+        if "mc" in planned:
+            table["mc"] = lambda n: cfg.samples, lambda n, seed: _value_and_stderr(
                 (montecarlo.estimate_position_mi if ik else montecarlo.estimate_message_mi)(
                     p, q, n, cfg.samples, seed))
-        return 0, lambda: (shared.expansion.evaluate(n), None)
+        if "asym" in planned:
+            expansion = (asym.position_mi_expansion if ik else asym.message_mi_expansion)(p, q)
+            table["asym"] = _free(lambda n: expansion.evaluate(n))
+        return table
 
     r = cfg.mechanism
     k = len(r.output_labels)
-    if method == "exact" and cfg.quantity == "IX1":
-        return exact.states_input_mi(n, k), lambda: (
-            exact.input_mi_iid_others(r, shared.prior, n), None)
-    if method == "exact":
-        states = exact.states_position_dp(n, k)
-
-        def fixed_inputs():
-            exact.check_states(states)  # before the n cycled inputs are built
+    prior = cfg.input_prior() if cfg.quantity == "IX1" else None  # every IX1 method reads it
+    if "exact" in planned and cfg.quantity == "IX1":
+        table["exact"] = (lambda n: exact.states_input_mi(n, k),
+                          lambda n, seed: (exact.input_mi_iid_others(r, prior, n), None))
+    elif "exact" in planned:
+        def fixed_inputs(n, seed):
+            # the ceiling is checked before the n cycled inputs are built
+            exact.check_states(exact.states_position_dp(n, k))
             x_inputs = cfg.x_inputs or tuple(islice(cycle(r.input_labels), n))
             return exact.position_mi_fixed_inputs(r, x_inputs), None
 
-        return states, fixed_inputs
-    if method == "mc":
-        return cfg.samples, lambda: _value_and_stderr(
-            montecarlo.estimate_input_mi(r, shared.prior, n, cfg.samples, seed))
-
-    def expansion_or_bound():
-        if method == "asym":
-            return asym.signal_rate(shared.prior_vec, r.kernel, [shared.marginal], [n - 1])
-        if method == "bound_unified":
-            return asym.input_mi_dp_bound(shared.eps0, n)
-        if method == "bound_blanket":
-            return shared.blanket_chi2 / (2.0 * n)
-        if method == "bound_position":
-            return asym.position_mi_dp_bound(shared.eps0)
-        return asym.clone_message_bound(k, shared.eps0, n)
-
-    return 0, lambda: (expansion_or_bound(), None)
+        table["exact"] = (lambda n: exact.states_position_dp(n, k)), fixed_inputs
+    if "mc" in planned:
+        table["mc"] = lambda n: cfg.samples, lambda n, seed: _value_and_stderr(
+            montecarlo.estimate_input_mi(r, prior, n, cfg.samples, seed))
+    if "asym" in planned:
+        prior_vec = exact._prior_vector(prior, r.input_labels)
+        marginal = prior_vec @ r.kernel  # the law of one user's message
+        table["asym"] = _free(lambda n: asym.signal_rate(prior_vec, r.kernel, [marginal], [n - 1]))
+    if any(m.startswith("bound_") for m in planned):
+        eps0 = ldp_epsilon(r)  # every quantity's bounds read it
+    if "bound_unified" in planned:
+        table["bound_unified"] = _free(lambda n: asym.input_mi_dp_bound(eps0, n))
+    if "bound_blanket" in planned:
+        # the prior's mean chi-square of the rows from the generalized blanket
+        chi2 = asym.mean_chi2(prior, r, blanket_of_randomizer(r).generalized_blanket)
+        table["bound_blanket"] = _free(lambda n: chi2 / (2.0 * n))
+    if "bound_position" in planned:
+        table["bound_position"] = _free(lambda n: asym.position_mi_dp_bound(eps0))
+    if "bound_clone" in planned:
+        table["bound_clone"] = _free(lambda n: asym.clone_message_bound(k, eps0, n))
+    return table
 
 
 def _value_and_stderr(est: montecarlo.EstimatorResult) -> tuple[float, float]:
     return est.estimate, est.stderr
 
 
-def compute_row(cfg: ExperimentConfig, n: int, method: str, row_seed: int,
-                call=None) -> ResultRow | None:
-    """Evaluate one (n, method) cell of a config. Returns None when an
-    exact cell is skipped for exceeding the ceiling under 'all'. ``call``
-    is the cell's call when the caller has built it (``cell``); otherwise
-    the method must be planned, and the cell is built here."""
-    if call is None:
-        if method not in cell_methods(cfg):
-            raise InvalidParameterError(f"method {method!r} is not planned for this config")
-        call = cell(cfg, n, method, row_seed)[1]
+def compute_row(cfg: ExperimentConfig, n: int, method: str, call) -> ResultRow | None:
+    """Evaluate one (n, method) cell of a config by ``call()``, which returns
+    (value, stderr). Returns None when an exact cell is skipped for
+    exceeding the ceiling under 'all'."""
     try:
         value, stderr = call()
     except ResourceLimitError:  # only an exact call raises it
@@ -203,10 +170,12 @@ def ceiling_diagnostics(cfg: ExperimentConfig) -> list[Diagnostic]:
     given = cfg.p if cfg.mode == "shuffle_only" else cfg.mechanism
     if given is None or cfg.method == "all" or "exact" not in cell_methods(cfg):
         return []
+    # an exact cell alone reads no n-free value but the prior, which is never refused
+    work = cells(replace(cfg, method="exact"))["exact"][0]
     diags = []
     for n in cfg.n_grid:
         try:
-            exact.check_states(cell(cfg, n, "exact", 0)[0])
+            exact.check_states(work(n))
         except ResourceLimitError as exc:
             diags.append(Diagnostic("n_grid", f"resource-limit: exact method at n={n}: {exc}"))
     return diags
@@ -227,14 +196,13 @@ def run_configs(configs: Sequence[ExperimentConfig], workers: int = 1) -> list[R
     """
     tasks, works = [], []
     for ci, cfg in enumerate(configs):
-        shared, methods = _Shared(cfg), cell_methods(cfg)
+        table = cells(cfg)
         for n in cfg.n_grid:
-            for method in methods:
+            for method, (work, value) in table.items():
                 # only Monte Carlo rows use a seed; the index is the plan position
                 seed = _derive_seed(cfg.seed, ci, len(tasks)) if method == "mc" else 0
-                work, call = cell(cfg, n, method, seed, shared)
-                tasks.append((cfg, n, method, seed, call))
-                works.append(work)
+                tasks.append((cfg, n, method, partial(value, n, seed)))
+                works.append(work(n))
 
     long = [i for i, (task, work) in enumerate(zip(tasks, works))
             if _is_long(task[2], work)] if workers > 1 else []

@@ -2,6 +2,7 @@
 diagnostics, and which exact cells the runner skips under ``all``."""
 
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -11,13 +12,15 @@ from shuffleleak.config import (
     BASE_METHODS,
     MODES,
     QUANTITIES,
+    ExperimentConfig,
     cell_methods,
     parse_config,
 )
-from shuffleleak.errors import InvalidParameterError
+from shuffleleak import Categorical, make_krr, make_uniform, make_zipf, runner
+from shuffleleak.errors import InvalidInputError
 from shuffleleak.exact import input_mi_iid_others
 from shuffleleak.mechanisms import blanket_of_randomizer
-from shuffleleak.runner import ceiling_diagnostics, compute_row, run_configs
+from shuffleleak.runner import ceiling_diagnostics, cells, run_configs
 
 ZIPF4 = {"type": "zipf", "m": 4, "alpha": 0.7}
 UNIFORM4 = {"type": "uniform", "m": 4}
@@ -32,6 +35,14 @@ def cell_doc(mode, quantity, method, n_grid=(4,)):
     return {**literal, "mode": mode, "quantity": quantity, "method": method,
             "n_grid": list(n_grid), "samples": 4096}
 
+
+# 'all' and every nonempty subset of the base methods, joined in both orders
+SELECTIONS = ["all", *sorted({
+    "+".join(order)
+    for size in range(1, len(BASE_METHODS) + 1)
+    for subset in combinations(BASE_METHODS, size)
+    for order in (subset, subset[::-1])
+})]
 
 # (mode, quantity, base) whose explicit request is a method diagnostic
 NO_ROWS = {
@@ -71,12 +82,30 @@ class TestExplicitMethods:
             "method: no asym method for shuffle_dp IK",
         ]
 
-    @pytest.mark.parametrize("method", ["mc", "asym", "bound_unified", "exact_dense"])
-    def test_compute_row_rejects_an_unplanned_method(self, method):
-        cfg, diags = parse_config(cell_doc("shuffle_dp", "IK", "all"))
-        assert diags == []
-        with pytest.raises(InvalidParameterError):
-            compute_row(cfg, 4, method, 0)
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("quantity", QUANTITIES)
+    def test_the_cell_table_holds_exactly_the_planned_methods(self, mode, quantity):
+        for method in SELECTIONS:
+            cfg = ExperimentConfig(mode=mode, quantity=quantity, p=make_zipf(4, 0.7),
+                                   q=make_uniform(4), mechanism=make_krr(4, 1.0),
+                                   n_grid=(4,), method=method)
+            assert tuple(cells(cfg)) == cell_methods(cfg), method
+
+    def test_an_unbuildable_value_raises_before_any_cell_runs(self, monkeypatch):
+        # a config built in Python skips parse_config's prior check
+        ran = []
+        monkeypatch.setattr(runner, "compute_row", lambda *task: ran.append(task))
+        krr3 = make_krr(3, 1.0)
+        configs = [
+            ExperimentConfig(mode="shuffle_dp", quantity="IX1", mechanism=krr3,
+                             n_grid=(4,), method="mc+asym"),
+            ExperimentConfig(mode="shuffle_dp", quantity="IX1", mechanism=krr3,
+                             prior=Categorical((1, 9), (0.5, 0.5)), n_grid=(4,),
+                             method="mc+asym"),
+        ]
+        with pytest.raises(InvalidInputError, match="prior symbol 9"):
+            run_configs(configs)
+        assert ran == []
 
     def test_all_plans_every_row_of_the_cell(self):
         cfg, diags = parse_config(cell_doc("shuffle_dp", "IX1", "all"))

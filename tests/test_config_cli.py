@@ -609,6 +609,33 @@ class TestCli:
         result = CliRunner().invoke(main, ["run", "--config", str(path)])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    @pytest.mark.parametrize("content", [
+        pytest.param(b'{"label": "\xff"}', id="not-utf8"),
+        pytest.param(b"[" * 100_000, id="past-recursion-limit"),
+    ])
+    def test_undecodable_config_exits_2(self, tmp_path, command, content):
+        path = tmp_path / "cfg.json"
+        path.write_bytes(content)
+        result = CliRunner().invoke(main, [command, "--config", str(path)])
+        assert result.exit_code == 2 and isinstance(result.exception, SystemExit)
+        assert result.stdout == ""
+        assert result.stderr.startswith("config error: ") and result.stderr.count("\n") == 1
+
+    def test_validate_reports_a_prior_outside_the_inputs(self, tmp_path):
+        # the planned rows read every n-free value of the config, and the
+        # prior vector cannot be built
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({
+            "mode": "shuffle_dp", "quantity": "IX1",
+            "mechanism": {"type": "krr", "k": 3, "eps0": 1.0},
+            "prior": {"type": "explicit", "labels": [1, 9], "probs": [0.5, 0.5]},
+            "n_grid": [4], "method": "exact+asym+bounds",
+        }))
+        result = CliRunner().invoke(main, ["validate", "--config", str(path)])
+        assert result.exit_code == 2 and isinstance(result.exception, SystemExit)
+        assert result.output == "prior: prior support must be mechanism inputs\n"
+
     def test_run_resource_limit_exits_3(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(make_doc(method="exact", n_grid=[1_000_000])))

@@ -39,7 +39,7 @@ from shuffleleak.montecarlo import (
     _scorer,
     _table,
 )
-from shuffleleak.runner import compute_row, preset_configs
+from shuffleleak.runner import cells, preset_configs
 
 ZIPF = make_zipf(4, 0.7)
 U4 = make_uniform(4)
@@ -377,11 +377,12 @@ class TestControlVariate:
         n = 2**26
         for name in ("fig2", "fig3"):
             for cfg in preset_configs(name, samples=100_000):
-                reference = compute_row(cfg, n, "asym", 0).value
+                table = cells(cfg)
+                reference, _ = table["asym"][1](n, 0)
                 z = []
                 for seed in range(4):
-                    row = compute_row(cfg, n, "mc", seed)
-                    z.append((row.value - reference) / row.stderr)
+                    value, stderr = table["mc"][1](n, seed)
+                    z.append((value - reference) / stderr)
                 assert abs(np.mean(z)) < 2.5, (cfg.label, z)
 
     def test_matched_channel_control_is_zero(self):

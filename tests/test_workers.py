@@ -16,7 +16,7 @@ import pytest
 from shuffleleak import exact, montecarlo, runner
 from shuffleleak.config import ExperimentConfig
 from shuffleleak.errors import ResourceLimitError
-from shuffleleak.runner import ResultRow, cell, run_configs, to_csv
+from shuffleleak.runner import ResultRow, cells, run_configs, to_csv
 from shuffleleak import make_krr, make_uniform, make_zipf
 
 LONG_MC = 3 * montecarlo.BLOCK_SIZE
@@ -34,10 +34,10 @@ def recorded(monkeypatch, fake=None):
     calls = []
     real = runner.compute_row
 
-    def record(cfg, n, method, seed, *call):
+    def record(cfg, n, method, call):
         calls.append((n, method, threading.get_ident()))
         if fake is None:
-            return real(cfg, n, method, seed, *call)
+            return real(cfg, n, method, call)
         return fake(cfg, n, method)
 
     monkeypatch.setattr(runner, "compute_row", record)
@@ -65,9 +65,9 @@ def mixed_batch():
 
 class TestDispatch:
     def test_the_mixed_batch_has_every_kind_of_cell(self):
-        states = cell(mixed_batch()[1], 40, "exact", 0)[0]
+        states = cells(mixed_batch()[1])["exact"][0](40)
         assert exact.CHUNK_ROWS < states <= exact.MAX_STATES
-        assert cell(mixed_batch()[2], 10**6, "exact", 0)[0] > exact.MAX_STATES
+        assert cells(mixed_batch()[2])["exact"][0](10**6) > exact.MAX_STATES
         assert LONG_MC > montecarlo.BLOCK_SIZE
 
     def test_bytes_do_not_depend_on_workers(self):
