@@ -404,29 +404,38 @@ def message_mi_exact(p: Categorical, q: Categorical, n: int) -> float:
     return _histogram_value(n, message_form(p, q, n))
 
 
-def _binom_xlogx(n: int, prob: float) -> float:
-    """E[(X/n) log(X/n)] for X ~ Bin(n, prob), with 0 log 0 = 0.
+def binomial_weights(n: int, prob: float) -> np.ndarray:
+    """The Bin(n, prob) pmf over 0..n up to a constant factor, 1 at the mode.
 
-    The pmf is built up to a constant from the mode outward by the ratio
+    It is built from the mode outward by the ratio
     pmf(x + 1) / pmf(x) = (n - x) prob / ((x + 1)(1 - prob)), so every
-    entry in the bulk is a short product of factors near 1, and is then
-    divided by its sum. Weights from differences of lgamma values carry the
-    rounding of numbers near log n!: at n = 16384 and prob = 0.9 they put
-    E[(X/n) log(X/n)] - prob log prob 1.7e-10 relative from a 40-digit
-    reference, and this product 6e-12.
+    entry in the bulk is a short product of factors near 1. Weights from
+    differences of lgamma values carry the rounding of numbers near log n!:
+    at n = 16384 and prob = 0.9 they put E[(X/n) log(X/n)] - prob log prob
+    1.7e-10 relative from a 40-digit reference, and this product 6e-12.
     """
+    pmf = np.zeros(n + 1)
     if prob == 1.0:  # X = n surely
-        return 0.0
+        pmf[n] = 1.0
+        return pmf
     x = np.arange(n + 1)
     mode = min(int((n + 1) * prob), n)
-    pmf = np.empty(n + 1)
     pmf[mode] = 1.0
     odds = prob / (1.0 - prob)
     # every factor is at most 1 in the direction it is multiplied along
     up, down = x[mode:n], x[:mode][::-1]
     pmf[mode + 1 :] = np.cumprod((n - up) / (up + 1) * odds)
     pmf[:mode] = np.cumprod((down + 1) / (n - down) / odds)[::-1]
-    ratio = x[1:] / n
+    return pmf
+
+
+def _binom_xlogx(n: int, prob: float) -> float:
+    """E[(X/n) log(X/n)] for X ~ Bin(n, prob), with 0 log 0 = 0, from
+    ``binomial_weights`` divided by their sum."""
+    if prob == 1.0:  # X = n surely
+        return 0.0
+    pmf = binomial_weights(n, prob)
+    ratio = np.arange(1, n + 1) / n
     return float(np.dot(pmf[1:], ratio * np.log(ratio)) / pmf.sum())
 
 

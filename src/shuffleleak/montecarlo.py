@@ -17,11 +17,18 @@ the same law is drawn from a table instead (``_scorer``): the exact
 oracles' enumeration gives every h with its multinomial weight (the
 histograms of a small simplex come from ``exact``'s cache), and
 every h is scored and controlled, once per estimate; each block then
-draws table entries by inverse CDF and gathers their scores. On a
-2-vCPU host one 4096-draw block at m = 4 or 5 costs 0.9-1.2 ms by
-``rng.multinomial`` alone, even at n = 3, and about 0.1 ms from the
-table; a table costs 0.1-0.3 ms to build. Above BLOCK_SIZE values a row
-draws J and the covers as above.
+draws table entries by inverse CDF and gathers their scores. Above
+BLOCK_SIZE values a row draws J and the covers as above, the covers by
+binary splitting (``_drawer``): the first half of the symbols takes a
+Bin(n - 1, c_left) share of the counts, drawn by inverse CDF over a
+table of its n probabilities when n <= BLOCK_SIZE and by
+``rng.binomial`` above, and each range of symbols is halved again,
+breadth-first, by ``rng.binomial`` on its parent's counts. On a 2-vCPU
+host a 4096-draw block at m = 4 costs about 0.1 ms from the table
+(0.1-0.3 ms to build), and 0.65-0.8 ms drawn at n <= 4096 (0.8-1.0 ms
+above), with J and the float histogram: 0.5-0.67 times (0.75-0.9
+above) a draw by ``rng.multinomial``, whose set-up is redone for every
+row.
 
 Each score has a control variate subtracted: a quadratic in h whose mean
 under the draw law is exactly 0, with coefficients from central
@@ -34,11 +41,12 @@ falls 5-300x at n = 16 and 400-1.6e5x at n = 1024 for the fig2/fig3
 rows. The reported standard error is the plug-in std of the controlled
 scores / sqrt(samples).
 
-A drawn block holds one (symbols, rows) float histogram, converted once
-from the integer draw, and the statistics work one symbol (or input) row
-at a time on vectors of length rows; the control adds one (rows,
-symbols) product. At m = 4 a 4096-row block peaks at 2.5-3.0 times the
-128 KiB histogram under tracemalloc, a tabled block at 0.8 times. More
+A drawn block holds one (symbols, rows) float histogram, each symbol's
+row converted once from its integer counts as the split reaches it, and
+the statistics work one symbol (or input) row at a time on vectors of
+length rows; the control adds one (rows, symbols) product. At m = 4 a
+4096-row block peaks at 2.5-3.0 times the 128 KiB histogram under
+tracemalloc, a tabled block at 0.8 times. More
 float temporaries of the histogram's size made glibc trim and regrow its
 heap on every block, tens of thousands of page faults per preset
 battery. A table build peaks once per estimate, at 0.16 MiB for n = 16,
@@ -47,7 +55,8 @@ m = 4 and at 0.3-0.6 MiB for the largest tables (4096 values at m = 2,
 
 Determinism contract: samples are organized into fixed-size blocks and the
 randomness of block b derives from a counter-based Philox stream keyed by
-(seed, b). The control and the table depend on the form and n only, and
+(seed, b), drawn by one generator per estimate that is rekeyed for each
+block. The control and the tables depend on the form and n only, and
 each half's choice to use the control depends only on the other half's
 draws. Partial sums are reduced with exact float summation and the
 per-block variances are merged in block order, so results are
@@ -66,6 +75,7 @@ from .errors import InvalidParameterError
 from .exact import (
     CHUNK_ROWS,
     HistogramForm,
+    binomial_weights,
     input_form,
     message_form,
     position_form,
@@ -82,14 +92,30 @@ MAX_N = 1 << 63  # the n - 1 cover counts of a draw are an int64
 SEED_LIMIT = 1 << 64  # a seed is the high half of each block's 128-bit Philox key
 
 
-def _block_rng(seed: int, block: int) -> np.random.Generator:
-    key = (seed << 64) | block
-    return np.random.Generator(np.random.Philox(key=key))
-
-
 def _blocks(samples: int):
     for block, start in enumerate(range(0, samples, BLOCK_SIZE)):
         yield block, min(BLOCK_SIZE, samples - start)
+
+
+def _block_rngs(seed: int, samples: int):
+    """(generator, size) for each block in order. Block b draws the stream
+    of ``Philox(key=(seed << 64) | b)``: one generator is rekeyed to that
+    key, counter 0 and an empty buffer as the block is taken, so a block
+    is drawn before the next is taken. Rekeying costs a tenth of building
+    a new generator (1.3 against 13 us on a 2-vCPU host)."""
+    bits = np.random.Philox(key=0)
+    rng = np.random.Generator(bits)
+    empty = np.zeros(4, np.uint64)
+    for block, size in _blocks(samples):
+        bits.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": empty, "key": np.array([block, seed], np.uint64)},
+            "buffer": empty,
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        yield rng, size
 
 
 @dataclass(frozen=True)
@@ -105,8 +131,8 @@ class EstimatorResult:
 def _estimate(stat_fn, samples: int, seed: int) -> EstimatorResult:
     sums = []
     count, mean, m2 = 0, 0.0, 0.0
-    for block, size in _blocks(samples):
-        stats = stat_fn(_block_rng(seed, block), size)
+    for rng, size in _block_rngs(seed, samples):
+        stats = stat_fn(rng, size)
         total = float(np.sum(stats))
         sums.append(total)
         # merge the block's (count, mean, M2) in block order
@@ -226,17 +252,83 @@ def _control(form: HistogramForm, n: int) -> np.ndarray:
     return quad + twice_constant / (2 * n * n)
 
 
-def _draw(form: HistogramForm, n: int, rng: np.random.Generator, size: int) -> np.ndarray:
-    """A (symbols, size) block of drawn histograms, as floats: every
-    product with it would otherwise convert the integer counts again.
-    Draw order is fixed: target symbols first, then the cover counts."""
-    cum = np.cumsum(_proposal(form))
-    cum[-1] = 1.0
-    j = np.minimum(np.searchsorted(cum, rng.random(size), side="right"), len(cum) - 1)
-    counts = rng.multinomial(n - 1, form.cover / form.cover.sum(), size=size)
-    h = counts.astype(float).T
-    h[j, np.arange(size)] += 1.0  # in float: at n = MAX_N an int64 count could overflow
-    return h
+def _splits(c: np.ndarray) -> list[tuple[int, int, int, float]]:
+    """The binary splits of the visible symbols, breadth-first: the range
+    lo:hi is halved at mid, and its count draws lo:mid's share with
+    probability c[lo:mid] / c[lo:hi]. The root split (0, m // 2, m) comes
+    first."""
+    splits, ranges = [], [(0, len(c))]
+    for lo, hi in ranges:  # the list grows as it is walked: breadth-first
+        if hi - lo > 1:
+            mid = (lo + hi) // 2
+            splits.append((lo, mid, hi, min(float(c[lo:mid].sum() / c[lo:hi].sum()), 1.0)))
+            ranges += [(lo, mid), (mid, hi)]
+    return splits
+
+
+def _sorted_halves(x: np.ndarray) -> np.ndarray:
+    """``x`` with each half of the block (as ``_block_scores`` splits it)
+    sorted in place. A half contributes its sum, its spread and the control
+    choice it makes for the other half, none of which reads its order, and
+    sorting within a half keeps the halves independent."""
+    x[: len(x) // 2].sort()
+    x[len(x) // 2 :].sort()
+    return x
+
+
+def _drawer(
+    form: HistogramForm, n: int
+) -> Callable[[np.random.Generator, int], np.ndarray]:
+    """The draw of a block of histograms h = X + e_J, J ~ tau and
+    X ~ Mult(n - 1, c), set up once per estimate. It returns a (symbols,
+    size) float block: every product with it would otherwise convert the
+    integer counts again.
+
+    X is drawn by binary splitting (Devroye 1986, ch. XI): the root split
+    draws the first half's count Bin(n - 1, sum(c[:m // 2]) / sum(c)), by
+    inverse CDF over the n-entry table of ``exact.binomial_weights`` when
+    n <= BLOCK_SIZE and by ``rng.binomial`` above; each half of the block
+    then sorts its root counts (``_sorted_halves``). Every later split,
+    breadth-first, draws ``rng.binomial(parent counts, p)``; for m <= 4
+    the parents arrive sorted, so numpy reuses its set-up for each run of
+    equal neighbours. Draw order is fixed: J's uniforms, the root, then
+    the splits.
+    """
+    c = form.cover / form.cover.sum()
+    cum = np.cumsum(_proposal(form))[:-1]  # J is the count of these at or below its uniform
+    m = len(c)
+    splits = _splits(c)
+    share = splits[0][3]  # of the root split
+    if n <= BLOCK_SIZE:
+        cdf = np.cumsum(binomial_weights(n - 1, share))
+        cdf /= cdf[-1]
+
+        def root(rng: np.random.Generator, size: int) -> np.ndarray:
+            return _inverse_cdf(cdf, rng, size)
+    else:
+
+        def root(rng: np.random.Generator, size: int) -> np.ndarray:
+            return _sorted_halves(rng.binomial(n - 1, share, size))
+
+    def draw(rng: np.random.Generator, size: int) -> np.ndarray:
+        u = rng.random(size)
+        h = np.empty((m, size))
+        counts = {(0, m): n - 1}  # the count of each symbol range not yet split
+        for lo, mid, hi, p in splits:
+            parent = counts.pop((lo, hi))
+            left = root(rng, size) if hi - lo == m else rng.binomial(parent, p)
+            for (a, b), x in (((lo, mid), left), ((mid, hi), parent - left)):
+                if b - a == 1:
+                    h[a] = x
+                else:
+                    counts[a, b] = x
+        # add e_J in float: at n = MAX_N an int64 count could overflow
+        j = sum(x <= u for x in cum)
+        for a in range(m):
+            h[a] += j == a
+        return h
+
+    return draw
 
 
 def _quadratic(a: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -275,16 +367,11 @@ def _table(form: HistogramForm, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _inverse_cdf(cdf: np.ndarray, rng: np.random.Generator, size: int) -> np.ndarray:
     """Indices of ``size`` draws from the law whose cumulative sums are
-    ``cdf``: one uniform per draw, searched in the cdf. The uniforms of
-    each half of the block (as ``_block_scores`` splits it) are sorted
-    first. A half contributes its sum, its spread and the control choice
-    it makes for the other half, none of which reads its order, and
-    sorting within a half keeps the halves independent; a sorted search
-    costs a third of an unsorted one."""
-    u = rng.random(size)
-    u[: size // 2].sort()
-    u[size // 2 :].sort()
-    return np.searchsorted(cdf, u, side="right")
+    ``cdf``: one uniform per draw, searched in the cdf. The uniforms are
+    sorted within each half of the block (``_sorted_halves``) first, so
+    the indices are too; a sorted search costs a third of an unsorted
+    one."""
+    return np.searchsorted(cdf, _sorted_halves(rng.random(size)), side="right")
 
 
 def _scorer(
@@ -297,13 +384,14 @@ def _scorer(
     BLOCK_SIZE, scoring every value once costs no more than scoring one
     block, so each block is drawn by inverse CDF over the table and
     gathers the table's scores and controls. Above BLOCK_SIZE values a
-    block is drawn by ``_draw`` and scored as drawn.
+    block is drawn by ``_drawer`` and scored as drawn.
     """
     m = len(form.cover)
     if math.comb(n + m - 1, m - 1) > BLOCK_SIZE:
+        draw = _drawer(form, n)
 
         def drawn(rng: np.random.Generator, size: int) -> tuple[np.ndarray, np.ndarray]:
-            h = _draw(form, n, rng, size)
+            h = draw(rng, size)
             return _score(form, n, h), _quadratic(control, h)
 
         return drawn

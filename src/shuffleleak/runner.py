@@ -35,9 +35,9 @@ from typing import Sequence
 import numpy as np
 
 from . import asymptotics as asym
-from . import exact, montecarlo
+from . import config, exact, montecarlo
 from .config import Diagnostic, ExperimentConfig, cell_methods
-from .errors import InvalidParameterError, ResourceLimitError
+from .errors import InvalidInputError, InvalidParameterError, ResourceLimitError
 from .mechanisms import blanket_of_randomizer, ldp_epsilon, make_krr
 from .probability import make_uniform, make_zipf
 
@@ -82,8 +82,6 @@ def cells(cfg: ExperimentConfig) -> dict:
     """
     planned = cell_methods(cfg)
     table = {}
-    if not planned:  # a config built in Python may plan no row
-        return table
     if cfg.mode == "shuffle_only":
         p, q = cfg.p, cfg.cover
         ik = cfg.quantity == "IK"
@@ -192,8 +190,14 @@ def run_configs(configs: Sequence[ExperimentConfig], workers: int = 1) -> list[R
     ``workers`` threads runs the long cells ahead of that failure, and
     after a pooled failure no later pooled cell starts. Otherwise every
     cell runs on the calling thread. A failing batch raises the error of
-    its first failing cell in plan order, as one worker does.
+    its first failing cell in plan order, as one worker does. A config with
+    a diagnostic from ``config.validate_config`` (one built in Python, say)
+    raises InvalidInputError before any cell runs.
     """
+    for cfg in configs:
+        diags = config.validate_config(cfg)
+        if diags:
+            raise InvalidInputError(f"config {cfg.label!r}: " + "; ".join(map(str, diags)))
     tasks, works = [], []
     for ci, cfg in enumerate(configs):
         table = cells(cfg)

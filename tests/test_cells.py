@@ -92,7 +92,8 @@ class TestExplicitMethods:
             assert tuple(cells(cfg)) == cell_methods(cfg), method
 
     def test_an_unbuildable_value_raises_before_any_cell_runs(self, monkeypatch):
-        # a config built in Python skips parse_config's prior check
+        # a config built in Python skips parse_config, so run_configs
+        # validates it
         ran = []
         monkeypatch.setattr(runner, "compute_row", lambda *task: ran.append(task))
         krr3 = make_krr(3, 1.0)
@@ -103,8 +104,27 @@ class TestExplicitMethods:
                              prior=Categorical((1, 9), (0.5, 0.5)), n_grid=(4,),
                              method="mc+asym"),
         ]
-        with pytest.raises(InvalidInputError, match="prior symbol 9"):
+        with pytest.raises(InvalidInputError, match="prior support must be mechanism inputs"):
             run_configs(configs)
+        assert ran == []
+
+    @pytest.mark.parametrize("cfg,diagnostic", [
+        (ExperimentConfig(quantity="IY1", p=make_zipf(4, 0.7), n_grid=(4,), method="asymp"),
+         "method: no asymp method for shuffle_only IY1"),
+        (ExperimentConfig(mode="shuffle_dp", quantity="IY1", mechanism=make_krr(3, 1.0),
+                          n_grid=(4,), method="mc"),
+         "method: no mc method for shuffle_dp IY1"),
+        (ExperimentConfig(mode="shuffle_dp", quantity="IX1", n_grid=(4,), method="all"),
+         "mechanism: shuffle_dp requires a mechanism"),
+    ], ids=["unknown-method", "unplanned-method", "no-mechanism"])
+    def test_a_config_built_in_python_is_validated(self, monkeypatch, cfg, diagnostic):
+        # the CLI refuses these with a diagnostic; run_configs used to return
+        # no rows for the first two and raise AttributeError on the third
+        ran = []
+        monkeypatch.setattr(runner, "compute_row", lambda *task: ran.append(task))
+        valid = ExperimentConfig(quantity="IY1", p=make_zipf(4, 0.7), n_grid=(4,))
+        with pytest.raises(InvalidInputError, match=diagnostic):
+            run_configs([valid, cfg])
         assert ran == []
 
     def test_all_plans_every_row_of_the_cell(self):

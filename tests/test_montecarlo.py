@@ -23,15 +23,16 @@ from shuffleleak import (
     position_mi_exact,
 )
 from shuffleleak import exact, montecarlo
-from shuffleleak.exact import input_form, message_form, position_form
+from shuffleleak.exact import binomial_weights, input_form, message_form, position_form
 from shuffleleak.montecarlo import (
     BLOCK_SIZE,
-    _block_rng,
+    _block_rngs,
     _block_scores,
     _blocks,
     _control,
-    _draw,
+    _drawer,
     _estimate,
+    _splits,
     _inverse_cdf,
     _proposal,
     _quadratic,
@@ -43,6 +44,11 @@ from shuffleleak.runner import cells, preset_configs
 
 ZIPF = make_zipf(4, 0.7)
 U4 = make_uniform(4)
+
+
+def block_rng(seed, block):
+    """A new generator on block ``block``'s stream of a row at ``seed``."""
+    return np.random.Generator(np.random.Philox(key=(seed << 64) | block))
 
 
 def no_control(form):
@@ -59,13 +65,13 @@ def row_estimate(form, n, control, samples, seed):
 
 def plain_block(form, n, seed, size=BLOCK_SIZE):
     """The plain scores of block 0 of a row at ``seed``."""
-    return _block_scores(*_scorer(form, n, no_control(form))(_block_rng(seed, 0), size))
+    return _block_scores(*_scorer(form, n, no_control(form))(block_rng(seed, 0), size))
 
 
 def table_draw(form, n, seed, block, size):
     """The histograms of one block of a tabled row, as the estimator draws them."""
     table, cdf = _table(form, n)
-    return table[:, _inverse_cdf(cdf, _block_rng(seed, block), size)]
+    return table[:, _inverse_cdf(cdf, block_rng(seed, block), size)]
 
 
 def within(est, truth, slack=0.0):
@@ -97,6 +103,26 @@ class TestDeterminism:
     def test_result_records_provenance(self):
         r = estimate_message_mi(ZIPF, U4, 8, samples=1234, seed=99)
         assert r.samples == 1234 and r.seed == 99
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
+    def test_reused_generator_draws_each_blocks_own_stream(self, seed):
+        # a block ends on an odd number of 32-bit draws, so a carried-over
+        # half word or buffered output would show in the next block
+        def draws(gen):
+            return [
+                gen.integers(0, 2**32, 3, dtype=np.uint32),
+                gen.random(5),
+                gen.binomial(1000, 0.3, 4),
+                gen.binomial([5, 50, 500, 5000], 0.4),
+                gen.integers(0, 2**32, 3, dtype=np.uint32),
+            ]
+
+        sizes = []
+        for block, (rng, size) in enumerate(_block_rngs(seed, 5 * BLOCK_SIZE + 3)):
+            sizes.append(size)
+            for mine, theirs in zip(draws(rng), draws(block_rng(seed, block))):
+                assert np.array_equal(mine, theirs), block
+        assert sizes == [BLOCK_SIZE] * 5 + [3]
 
 
 class TestDegenerate:
@@ -412,7 +438,7 @@ class TestControlVariate:
         # there would no longer be 0
         form = message_form(ZIPF, U4, 16)
         control = _control(form, 16)
-        h = _draw(form, 16, _block_rng(5, 0), 1000)
+        h = _drawer(form, 16)(block_rng(5, 0), 1000)
         score, ctl = _score(form, 16, h), _quadratic(control, h)
         seen = []
 
@@ -434,7 +460,7 @@ class TestControlVariate:
         q = Categorical((1, 2, 3), (0.3, 0.65, 0.05))
         form = message_form(p, q, n)
         control = _control(form, n)
-        h = _draw(form, n, _block_rng(0, 0), BLOCK_SIZE)
+        h = _drawer(form, n)(block_rng(0, 0), BLOCK_SIZE)
         score = _score(form, n, h)
         assert np.var(score - _quadratic(control, h)) > 1.5 * np.var(score)
         block = _block_scores(score.copy(), _quadratic(control, h))
@@ -523,11 +549,12 @@ class TestTableDraw:
             form = message_form(M2_P, M2_Q, n)
             _scorer(form, n, _control(form, n))
         assert built == [4095]
-        # above the table a row draws by _draw, as before the table existed
+        # above the table a row draws by _drawer
         form = message_form(M2_P, M2_Q, 4096)
-        control = _control(form, 4096)
+        control, draw = _control(form, 4096), _drawer(form, 4096)
+
         def drawn(rng, size):
-            h = _draw(form, 4096, rng, size)
+            h = draw(rng, size)
             return _block_scores(_score(form, 4096, h), _quadratic(control, h))
 
         plain = _estimate(drawn, 5000, 3)
@@ -553,7 +580,7 @@ class TestTableDraw:
             raise AssertionError(f"called with {args}")
 
         monkeypatch.setattr(exact, "_log_factorials", refuse)
-        monkeypatch.setattr(montecarlo, "_draw", refuse)
+        monkeypatch.setattr(montecarlo, "_drawer", refuse)
         p = Categorical((1, 2), (0.6, 0.4))
         q = Categorical((1, 2), (1.0, 0.0))
         n = 10**9
@@ -564,6 +591,104 @@ class TestTableDraw:
         assert r.stderr < 1e-12
 
 
+def brute_force_law(form, n, h):
+    """sum_j tau_j Mult(h - e_j; n - 1, c) from factorials."""
+    c = form.cover / form.cover.sum()
+    tau = form.target / form.target.sum()
+    total = 0.0
+    for j in np.flatnonzero(h):
+        x = np.array(h) - np.eye(len(c), dtype=int)[j]
+        coefficient = math.factorial(n - 1) // math.prod(math.factorial(int(v)) for v in x)
+        total += tau[j] * coefficient * math.prod(c ** x)
+    return total
+
+
+def split_draws(form, n, seed, samples):
+    """``samples`` histograms drawn by ``_drawer``, block by block, as a row
+    at ``seed`` draws them."""
+    draw = _drawer(form, n)
+    return np.concatenate([draw(rng, size) for rng, size in _block_rngs(seed, samples)], axis=1)
+
+
+class TestSplitDraw:
+    def test_splits_halve_each_range_breadth_first(self):
+        c = np.array([0.1, 0.2, 0.3, 0.15, 0.25])
+        splits = _splits(c)
+        assert [s[:3] for s in splits] == [(0, 2, 5), (0, 1, 2), (2, 3, 5), (3, 4, 5)]
+        for lo, mid, hi, p in splits:
+            assert p == pytest.approx(c[lo:mid].sum() / c[lo:hi].sum(), rel=1e-15)
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    def test_drawn_histograms_pass_chi_square(self, m):
+        # n - 1 = 6 covers; far below the drawn path's usual n, so every
+        # histogram has a brute-force law
+        n, samples = 7, 100_000
+        form = message_form(make_uniform(m), make_zipf(m, 1.3), n)
+        h = split_draws(form, n, 11, samples)
+        assert (h.sum(axis=0) == n).all() and (h >= 0).all()
+        states, counts = np.unique(h.astype(int), axis=1, return_counts=True)
+        observed = dict(zip(map(tuple, states.T), counts))
+        every = every_histogram(n, m)
+        law = np.array([brute_force_law(form, n, v) for v in every])
+        assert math.fsum(law) == pytest.approx(1.0, abs=1e-12)
+        seen = np.array([observed.pop(v, 0) for v in every])
+        assert not observed
+        # cells expected fewer than 5 times are pooled into one
+        thin = law * samples < 5
+        pooled, expected = seen[~thin], law[~thin] * samples
+        if thin.any():
+            pooled = np.append(pooled, seen[thin].sum())
+            expected = np.append(expected, law[thin].sum() * samples)
+        assert chisquare(pooled, expected).pvalue > 1e-3
+
+    @pytest.mark.parametrize("n", [4096, 1 << 20])
+    def test_mean_and_covariance(self, monkeypatch, n):
+        # n = 4096 draws the root from the table, n = 2^20 by rng.binomial
+        tables = []
+        monkeypatch.setattr(montecarlo, "binomial_weights",
+                            lambda k, p: tables.append(k) or binomial_weights(k, p))
+        samples = 20 * BLOCK_SIZE
+        form = message_form(U4, ZIPF, n)
+        h = split_draws(form, n, 5, samples)
+        assert tables == ([n - 1] if n <= BLOCK_SIZE else [])
+        assert (h.sum(axis=0) == n).all()
+        c, tau = form.cover / form.cover.sum(), _proposal(form)
+        mean = (n - 1) * c + tau
+        cov = (n - 1) * (np.diag(c) - np.outer(c, c)) + np.diag(tau) - np.outer(tau, tau)
+        z = (h.mean(axis=1) - mean) / np.sqrt(np.diag(cov) / samples)
+        assert (abs(z) < 5).all(), z
+        # the sample covariance's standard error, for nearly normal counts
+        se = np.sqrt((np.outer(np.diag(cov), np.diag(cov)) + cov**2) / samples)
+        z = (np.cov(h) - cov) / se
+        assert (abs(z) < 5).all(), z
+
+    @pytest.mark.parametrize("n", [64, 1 << 20])
+    def test_each_half_sorts_its_own_root_counts(self, n):
+        # the target sends only the last symbol, so J adds nothing to the
+        # first half of the symbols and their sum is the root count
+        p = Categorical((1, 2, 3, 4), (0, 0, 0, 1))
+        form = position_form(p, ZIPF, n)
+        size, half = 1001, 500
+        h = _drawer(form, n)(block_rng(3, 0), size)
+        root = h[:2].sum(axis=0)
+        # the root's draws come after J's uniforms, and each half's counts
+        # are its own draws, sorted
+        reference = block_rng(3, 0)
+        reference.random(size)
+        share = _splits(form.cover / form.cover.sum())[0][3]
+        if n <= BLOCK_SIZE:
+            cdf = np.cumsum(binomial_weights(n - 1, share))
+            cdf /= cdf[-1]
+            u = reference.random(size)
+            first, second = (np.searchsorted(cdf, np.sort(x), side="right")
+                             for x in (u[:half], u[half:]))
+        else:
+            x = reference.binomial(n - 1, share, size)
+            first, second = np.sort(x[:half]), np.sort(x[half:])
+        assert np.array_equal(root, np.concatenate([first, second]))
+        assert (np.diff(root[:half]) >= 0).all() and (np.diff(root[half:]) >= 0).all()
+
+
 class TestStableVariance:
     def test_offset_statistic_keeps_its_spread(self):
         # the spread of 1e4 + U(0, 1e-6) is lost to cancellation in sum x^2 - n mean^2
@@ -572,7 +697,7 @@ class TestStableVariance:
 
         samples = 100_000
         r = _estimate(stat, samples, 3)
-        stats = np.concatenate([stat(_block_rng(3, b), size) for b, size in _blocks(samples)])
+        stats = np.concatenate([stat(block_rng(3, b), size) for b, size in _blocks(samples)])
         assert r.stderr == pytest.approx(
             np.std(stats - 1e4, ddof=1) / math.sqrt(samples), rel=1e-6
         )
@@ -592,10 +717,10 @@ class TestBlockMemory:
         histogram = 4 * BLOCK_SIZE * 8  # the block's (symbols, rows) float64 histogram
         for control in (no_control(form), _control(form, 1024)):
             block = _scorer(form, 1024, control)
-            _block_scores(*block(_block_rng(0, 0), BLOCK_SIZE))  # first-call set-up is not counted
+            _block_scores(*block(block_rng(0, 0), BLOCK_SIZE))  # first-call set-up is not counted
             tracemalloc.start()
             try:
-                _block_scores(*block(_block_rng(0, 1), BLOCK_SIZE))
+                _block_scores(*block(block_rng(0, 1), BLOCK_SIZE))
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -610,10 +735,10 @@ class TestBlockMemory:
         small = message_form(ZIPF, U4, 16)
         block = _scorer(small, 16, _control(small, 16))
         _scorer(large, 4095, large_control)  # first-call set-up is not counted
-        _block_scores(*block(_block_rng(0, 0), BLOCK_SIZE))
+        _block_scores(*block(block_rng(0, 0), BLOCK_SIZE))
         for run in (
             lambda: _scorer(large, 4095, large_control),
-            lambda: _block_scores(*block(_block_rng(0, 1), BLOCK_SIZE)),
+            lambda: _block_scores(*block(block_rng(0, 1), BLOCK_SIZE)),
         ):
             tracemalloc.start()
             try:

@@ -42,8 +42,9 @@ def test_public_asymptotics_are_plain_functions():
 
 
 def test_n_free_values_are_built_once_per_config():
-    # per config: one expansion, one blanket, one mean chi-square and one
-    # eps0; per n: every oracle, estimator, evaluation and bound
+    # per config: one validation, one expansion, one blanket, one mean
+    # chi-square and one eps0; per n: every oracle, estimator, evaluation
+    # and bound
     grid = (4, 8, 16)
     configs = [
         ExperimentConfig(quantity="IY1", p=make_zipf(3, 0.7), n_grid=grid, samples=100,
@@ -63,6 +64,7 @@ def test_n_free_values_are_built_once_per_config():
     for span in tracer.spans:
         calls[span.name] = calls.get(span.name, 0) + 1
     per_run = {
+        "config.validate_config": len(configs),
         "asymptotics.message_mi_expansion": 1,
         "asymptotics.position_mi_expansion": 1,
         "mechanisms.blanket_of_randomizer": 1,
