@@ -32,12 +32,12 @@ from shuffleleak.montecarlo import (
     _control,
     _drawer,
     _estimate,
-    _splits,
     _inverse_cdf,
     _proposal,
     _quadratic,
     _score,
     _scorer,
+    _splits,
     _table,
 )
 from shuffleleak.runner import cells, preset_configs
@@ -591,18 +591,6 @@ class TestTableDraw:
         assert r.stderr < 1e-12
 
 
-def brute_force_law(form, n, h):
-    """sum_j tau_j Mult(h - e_j; n - 1, c) from factorials."""
-    c = form.cover / form.cover.sum()
-    tau = form.target / form.target.sum()
-    total = 0.0
-    for j in np.flatnonzero(h):
-        x = np.array(h) - np.eye(len(c), dtype=int)[j]
-        coefficient = math.factorial(n - 1) // math.prod(math.factorial(int(v)) for v in x)
-        total += tau[j] * coefficient * math.prod(c ** x)
-    return total
-
-
 def split_draws(form, n, seed, samples):
     """``samples`` histograms drawn by ``_drawer``, block by block, as a row
     at ``seed`` draws them."""
@@ -629,7 +617,7 @@ class TestSplitDraw:
         states, counts = np.unique(h.astype(int), axis=1, return_counts=True)
         observed = dict(zip(map(tuple, states.T), counts))
         every = every_histogram(n, m)
-        law = np.array([brute_force_law(form, n, v) for v in every])
+        law = np.array([draw_law(form, n, np.array(v)) for v in every])
         assert math.fsum(law) == pytest.approx(1.0, abs=1e-12)
         seen = np.array([observed.pop(v, 0) for v in every])
         assert not observed
