@@ -58,12 +58,8 @@ from .probability import (
     split_support,
 )
 from .shuffle import (
-    Histogram,
     ShuffleSample,
-    input_posterior,
-    message_posterior,
     position_posterior,
-    sample_shuffle_dp,
     sample_shuffle_only,
 )
 

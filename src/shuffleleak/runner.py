@@ -247,7 +247,7 @@ def run_configs(configs: Sequence[ExperimentConfig], workers: int = 1) -> list[R
 
 
 def _fmt(value: float) -> str:
-    return f"{value:.12g}"
+    return f"{value + 0.0:.12g}"  # -0.0 + 0.0 is 0.0, so no field reads -0
 
 
 def to_csv(rows: Sequence[ResultRow]) -> str:

@@ -597,6 +597,19 @@ class TestCli:
         assert result.exit_code == 0
         assert out_path.read_text().startswith("case,n,method")
 
+    def test_run_prints_no_negative_zero(self, tmp_path):
+        # a hidden point mass leaks nothing; its constant -sum p log p is -0.0
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(make_doc(
+            P={"type": "explicit", "labels": ["a", "b"], "probs": [1, 0]},
+            Q={"type": "explicit", "labels": ["a", "b"], "probs": [0, 1]},
+            n_grid=[4], samples=300, method="exact+mc",
+        )))
+        result = CliRunner().invoke(main, ["run", "--config", str(path)])
+        assert result.exit_code == 0
+        rows = list(csv.reader(io.StringIO(result.output)))[1:]
+        assert [(r[2], r[4]) for r in rows] == [("exact", "0"), ("mc", "0")]
+
     def test_run_nan_literal_exits_2(self, tmp_path):
         path = tmp_path / "nan.json"
         path.write_text(json.dumps(make_doc(P={"type": "zipf", "m": 4, "alpha": math.nan})))
