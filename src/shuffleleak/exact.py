@@ -34,7 +34,7 @@ count exceeds MAX_STATES. Two kinds of machinery live here:
 - A dense driver for a target row among other users whose rows differ
   (fixed inputs, heterogeneous covers). It convolves the other rows into
   the law of their counts on the C(n + k - 1, k - 1) histograms that
-  ``_bounded_vectors`` enumerates, the engine's order, and returns it
+  ``_histogram_chunks`` enumerates, the engine's order, and returns it
   shifted by each target message a, s[a](h) = P_others(h - e_a). The
   (n + 1)^(k - 1) grid of counts is only a sort key: no array of its size
   is built. Two statistics read the shifts: input leakage takes the signal
@@ -49,15 +49,15 @@ A small simplex is enumerated once per process. A cache keyed by
 SIMPLEX_ROWS = 4096 of them (the Monte Carlo table's bound) over 2 to
 SIMPLEX_SYMBOLS = 8 symbols, for at most SIMPLEX_ENTRIES = 32 simplices,
 dropping the least recently used. An entry holds the int64 histograms in
-``_bounded_vectors`` order, their coefficients log n! - sum_j log h_j! and
+``_histogram_chunks`` order, their coefficients log n! - sum_j log h_j! and
 the back map of the dense law, all read-only. The engine's weights
 exp(coef + h . log q) from it are the floats an enumeration gives; the
 Monte Carlo table reads it through the engine, and ``_shifted_laws`` takes
 its histograms and back map. An entry takes 8 rows (2 symbols + 1) bytes,
 at most 0.47 MB (8 symbols, n = 7, 3432 histograms), so the cache holds at
-most 15 MB; the 20 simplices of n <= 8 at m = 2..5 take 0.1 MB. One lock
-covers every lookup and build, so threads that ask for a simplex together
-share one build and get the same arrays.
+most 15 MB; the 20 simplices of n <= 8 at m = 2..5 take 0.1 MB. It is a
+``functools.lru_cache``: threads that miss a simplex together may each
+build it (at most 0.1 ms and 0.47 MB), and the cache keeps one build.
 
 Finite-n closed forms built from binomial expectations are exact and
 enumerate nothing. Their Bin(n, p) pmf is built in numpy from the ratio
@@ -71,9 +71,8 @@ at that n (2.9 ms with the library's pmf).
 from __future__ import annotations
 
 import math
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb, lgamma
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -131,29 +130,6 @@ def states_binomial(p: Categorical, n: int) -> int:
     return len(p.support()) * (n + 1)
 
 
-def _bounded_vectors(total: int, dim: int) -> Iterator[np.ndarray]:
-    """Nonnegative integer vectors of length ``dim`` with sum at most
-    ``total``, lexicographically, in chunks of at most CHUNK_ROWS.
-
-    Chunks are (dim, rows) arrays: one contiguous row of counts per
-    symbol, so sums over symbols are whole-vector additions.
-    """
-    if dim == 0:
-        yield np.zeros((0, 1), dtype=np.int64)
-        return
-    for prefix in _bounded_vectors(total, dim - 1):
-        room = total + 1 - prefix.sum(axis=0)  # choices of the last entry per prefix
-        ends = np.cumsum(room)
-        for lo in range(0, int(ends[-1]), CHUNK_ROWS):
-            idx = np.arange(lo, min(lo + CHUNK_ROWS, int(ends[-1])))
-            col = np.searchsorted(ends, idx, side="right")
-            out = np.empty((dim, len(idx)), dtype=np.int64)
-            out[:-1] = prefix[:, col]
-            out[-1] = idx - ends[col] + room[col]
-            del idx, col  # not held while the caller works on the chunk
-            yield out
-
-
 _LOG_FACTORIALS = np.zeros(1)
 
 
@@ -173,15 +149,29 @@ def _log_factorials(n: int) -> np.ndarray:
 
 
 def _histogram_chunks(n: int, symbols: int) -> Iterator[np.ndarray]:
-    """Every histogram of n messages over ``symbols`` symbols, in
-    ``_bounded_vectors`` order of the counts of symbols 1.. and in (symbols,
-    rows) int64 chunks of at most CHUNK_ROWS; symbol 0 has what the others
-    leave of n."""
-    for tail in _bounded_vectors(n, symbols - 1):
-        h = np.empty((symbols, tail.shape[1]), dtype=np.int64)
-        h[0] = n - tail.sum(axis=0)
-        h[1:] = tail
-        yield h
+    """Every histogram of n messages over ``symbols`` symbols, in (symbols,
+    rows) int64 chunks of at most CHUNK_ROWS: one contiguous row of counts
+    per symbol, so sums over symbols are whole-vector additions. The counts
+    of symbols 1.. run lexicographically; symbol 0 has what they leave of n.
+
+    Each histogram of one symbol fewer, in this order, is extended by every
+    count of the new last symbol that its count of symbol 0 leaves room for.
+    """
+    if symbols == 1:
+        yield np.full((1, 1), n, dtype=np.int64)
+        return
+    for prev in _histogram_chunks(n, symbols - 1):
+        room = prev[0] + 1  # choices of the last count per shorter histogram
+        ends = np.cumsum(room)
+        for lo in range(0, int(ends[-1]), CHUNK_ROWS):
+            idx = np.arange(lo, min(lo + CHUNK_ROWS, int(ends[-1])))
+            col = np.searchsorted(ends, idx, side="right")
+            out = np.empty((symbols, len(idx)), dtype=np.int64)
+            out[:-1] = prev[:, col]
+            out[-1] = idx - ends[col] + room[col]
+            out[0] -= out[-1]
+            del idx, col  # not held while the caller works on the chunk
+            yield out
 
 
 def _log_coefficients(n: int, h: np.ndarray) -> np.ndarray:
@@ -200,38 +190,22 @@ def _back_map(n: int, h: np.ndarray) -> np.ndarray:
     return np.where(h > 0, np.searchsorted(offset, offset - step[:, None]), len(offset))
 
 
-_SIMPLICES: OrderedDict = OrderedDict()
-_SIMPLICES_LOCK = threading.Lock()
-
-
 def _is_small(n: int, symbols: int) -> bool:
     """Whether the simplex cache keeps the histograms of n messages over
     ``symbols`` symbols."""
     return 2 <= symbols <= SIMPLEX_SYMBOLS and comb(n + symbols - 1, symbols - 1) <= SIMPLEX_ROWS
 
 
+@lru_cache(maxsize=SIMPLEX_ENTRIES)
 def _small_simplex(n: int, symbols: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(h, coef, back) of a simplex ``_is_small`` admits, from the cache:
     its histograms as one ``_histogram_chunks`` chunk, their
-    ``_log_coefficients`` and their ``_back_map``, all read-only.
-
-    A simplex is built at most once while it stays cached: the lock is held
-    over the build, so threads that ask for it together get the same arrays.
-    """
-    key = (n, symbols)
-    with _SIMPLICES_LOCK:
-        entry = _SIMPLICES.get(key)
-        if entry is not None:
-            _SIMPLICES.move_to_end(key)
-            return entry
-        [h] = _histogram_chunks(n, symbols)  # SIMPLEX_ROWS <= CHUNK_ROWS: one chunk
-        entry = (h, _log_coefficients(n, h), _back_map(n, h))
-        for array in entry:
-            array.flags.writeable = False
-        _SIMPLICES[key] = entry
-        if len(_SIMPLICES) > SIMPLEX_ENTRIES:
-            _SIMPLICES.popitem(last=False)
-        return entry
+    ``_log_coefficients`` and their ``_back_map``, all read-only."""
+    [h] = _histogram_chunks(n, symbols)  # SIMPLEX_ROWS <= CHUNK_ROWS: one chunk
+    entry = (h, _log_coefficients(n, h), _back_map(n, h))
+    for array in entry:
+        array.flags.writeable = False
+    return entry
 
 
 def weighted_histograms(n: int, q: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -484,7 +458,7 @@ def _shifted_laws(
     ``other_rows``, which are read only after the ceiling check passes, and
     the target's message makes n. Returns (s, h), both (k, histograms), over
     the C(n + k - 1, k - 1) histograms h of n messages in the order of
-    ``_bounded_vectors(n, k - 1)``: h[a] is the count of symbol a and
+    ``_histogram_chunks(n, k)``: h[a] is the count of symbol a and
     s[a] = P_others(h - e_a), the law with the target's message taken to
     be a. The law lives on the same histograms (their counts of symbols
     1..k-1; the count of symbol 0 is implicit) and is built one draw at a

@@ -7,7 +7,7 @@ logarithm), and the convention 0*log(0) = 0 applies everywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Hashable, Iterable, Sequence
+from typing import Hashable, Iterable, Sequence
 
 import numpy as np
 
@@ -62,10 +62,6 @@ class Categorical:
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "probs", probs)
         object.__setattr__(self, "_index", {lab: i for i, lab in enumerate(labels)})
-        cum = np.cumsum(probs)
-        cum[-1] = 1.0
-        cum.flags.writeable = False
-        object.__setattr__(self, "_cum", cum)
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -86,17 +82,6 @@ class Categorical:
         """True if both assign the same probability to every label."""
         labs = set(self.labels) | set(other.labels)
         return all(abs(self.prob(l) - other.prob(l)) <= tol for l in labs)
-
-    def sample(self, rng: np.random.Generator) -> Any:
-        """Draw one label using the provided generator."""
-        i = int(np.searchsorted(self._cum, rng.random(), side="right"))
-        return self.labels[min(i, len(self.labels) - 1)]
-
-    def sample_n(self, rng: np.random.Generator, n: int) -> list:
-        """Draw ``n`` i.i.d. labels using the provided generator."""
-        idx = np.searchsorted(self._cum, rng.random(n), side="right")
-        idx = np.minimum(idx, len(self.labels) - 1)
-        return [self.labels[i] for i in idx]
 
     def __repr__(self) -> str:
         pairs = ", ".join(f"{l!r}: {p:.6g}" for l, p in zip(self.labels, self.probs))

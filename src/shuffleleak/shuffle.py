@@ -49,6 +49,15 @@ def _shuffle(y: list, rng: np.random.Generator) -> tuple[tuple, int]:
     return z, k_true
 
 
+def _labels_at(d: Categorical, u: Sequence[float]) -> list:
+    """The labels of ``d`` at the uniforms ``u`` by its inverse CDF, whose
+    last entry is set to 1 so rounding cannot push a draw past it."""
+    cum = np.cumsum(d.probs)
+    cum[-1] = 1.0
+    idx = np.minimum(np.searchsorted(cum, u, side="right"), len(d.labels) - 1)
+    return [d.labels[i] for i in idx]
+
+
 def sample_shuffle_only(
     p: Categorical, q: Categorical, n: int, rng: np.random.Generator
 ) -> ShuffleSample:
@@ -59,8 +68,8 @@ def sample_shuffle_only(
     """
     if n < 1:
         raise InvalidParameterError("n must be at least 1")
-    y1 = p.sample(rng)
-    y = [y1] + q.sample_n(rng, n - 1)
+    [y1] = _labels_at(p, [rng.random()])
+    y = [y1] + _labels_at(q, rng.random(n - 1))
     z, k_true = _shuffle(y, rng)
     return ShuffleSample(z=z, k_true=k_true, y1=y1)
 

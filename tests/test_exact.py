@@ -1,3 +1,4 @@
+import itertools
 import math
 import threading
 import tracemalloc
@@ -541,21 +542,61 @@ class TestHistogramEngine:
             input_mi_iid_others(make_krr(2, 0.5), make_uniform(2), 4096)
 
 
+class TestHistogramChunks:
+    """The enumerator behind every exact value and Monte Carlo table."""
+
+    # chunk widths at CHUNK_ROWS 3 and 5, one digit per chunk, keyed by
+    # (symbols, n): the engine sums chunk partials with fsum, so its floats
+    # depend on where the chunks break
+    WIDTHS = {
+        3: {(2, 8): "333", (3, 6): "3333333331", (4, 4): "3333331333331",
+            (4, 6): "333333333333333333313333333311", (5, 3): "333333133313111",
+            (5, 5): "333333333333313333313333331333331333133313331311"},
+        5: {(2, 8): "54", (3, 6): "555553", (4, 4): "55555352",
+            (4, 6): "555555553555553544", (5, 3): "5535251522",
+            (5, 5): "555555555154555551545515415451"},
+    }
+
+    @pytest.mark.parametrize("rows", [3, 5, exact.CHUNK_ROWS])
+    def test_every_histogram_once_in_order(self, rows, monkeypatch):
+        monkeypatch.setattr(exact, "CHUNK_ROWS", rows)
+        for symbols in range(1, 6):
+            for n in range(9):
+                chunks = list(exact._histogram_chunks(n, symbols))
+                for h in chunks:
+                    assert h.dtype == np.int64 and h.flags.c_contiguous
+                    assert h.shape[0] == symbols and 1 <= h.shape[1] <= rows
+                got = [tuple(int(c) for c in col) for h in chunks for col in h.T]
+                want = [
+                    (n - sum(tail),) + tail
+                    for tail in itertools.product(range(n + 1), repeat=symbols - 1)
+                    if sum(tail) <= n
+                ]
+                assert got == want, (symbols, n)
+
+    @pytest.mark.parametrize("rows", sorted(WIDTHS))
+    def test_chunk_widths(self, rows, monkeypatch):
+        monkeypatch.setattr(exact, "CHUNK_ROWS", rows)
+        for (symbols, n), widths in self.WIDTHS[rows].items():
+            got = "".join(str(h.shape[1]) for h in exact._histogram_chunks(n, symbols))
+            assert got == widths, (symbols, n)
+
+
 class TestSimplexCache:
     """The process-wide cache of small histogram simplices: its readers get
     the floats an enumeration gives, it stores only what it admits, and it
-    hands out one read-only entry per simplex."""
+    hands out read-only entries, one stored per simplex."""
 
     GRID = [(n, m) for m in range(1, 7) for n in (1, 2, 3, 5, 8, 13)] + [
         (4095, 2), (4096, 2), (2, 9), (15, 5), (16, 5), (7, 8),
     ]
 
     @pytest.fixture
-    def cache(self, monkeypatch):
-        """A fresh, empty cache for the test."""
-        fresh = exact.OrderedDict()
-        monkeypatch.setattr(exact, "_SIMPLICES", fresh)
-        return fresh
+    def info(self):
+        """An empty cache for the test; returns its ``cache_info``."""
+        exact._small_simplex.cache_clear()
+        yield exact._small_simplex.cache_info
+        exact._small_simplex.cache_clear()
 
     @staticmethod
     def readers(n, m):
@@ -569,23 +610,38 @@ class TestSimplexCache:
             out += [a.tobytes() for a in exact._shifted_laws(n, m, rows)]
         return out
 
-    def test_readers_match_the_enumeration_bytes(self, cache, monkeypatch):
+    @staticmethod
+    def stored(n, m):
+        """Whether (n, m) is cached: a lookup that hits. A miss stores it."""
+        hits = exact._small_simplex.cache_info().hits
+        exact._small_simplex(n, m)
+        return exact._small_simplex.cache_info().hits > hits
+
+    def test_readers_match_the_enumeration_bytes(self, info, monkeypatch):
+        size = info().currsize
+        self.readers(4095, 2)
+        assert info().currsize == size + 1
+        self.readers(4096, 2)
+        assert info().currsize == size + 1
         cached = {key: self.readers(*key) for key in self.GRID}
-        assert (4095, 2) in cache and (4096, 2) not in cache
+        misses = info().misses
         for key in self.GRID:  # the second read comes from the cache
             assert self.readers(*key) == cached[key], key
+        assert info().misses == misses
         monkeypatch.setattr(exact, "_is_small", lambda n, symbols: False)
         for key in self.GRID:
             assert self.readers(*key) == cached[key], key
 
-    def test_the_monte_carlo_table_reads_the_cache(self, cache):
+    def test_the_monte_carlo_table_reads_the_cache(self, info):
         for n, m, tabled in ((16, 4, True), (4095, 2, True), (4096, 2, False)):
+            exact._small_simplex.cache_clear()
             p, q = make_zipf(m, 0.7), make_uniform(m)
             first = estimate_position_mi(p, q, n, samples=100, seed=2)
-            assert ((n, m) in cache) == tabled
+            assert info().currsize == tabled
             assert estimate_position_mi(p, q, n, samples=100, seed=2) == first
+            assert (info().hits > 0) == tabled
 
-    def test_cached_arrays_are_read_only(self, cache):
+    def test_cached_arrays_are_read_only(self, info):
         for array in exact._small_simplex(6, 3):
             with pytest.raises(ValueError, match="read-only"):
                 array[..., 0] = 0
@@ -594,25 +650,27 @@ class TestSimplexCache:
             h += 1
         weight[0] = 0.0  # the weights are the reader's own
 
-    def test_nothing_above_the_bound_is_stored(self, cache):
+    def test_nothing_above_the_bound_is_stored(self, info):
         for n, m in self.GRID:
             self.readers(n, m)
-        assert set(cache) == {
+        admitted = {
             (n, m) for n, m in self.GRID
             if 2 <= m <= exact.SIMPLEX_SYMBOLS and math.comb(n + m - 1, m - 1) <= exact.SIMPLEX_ROWS
         }
-        assert {(2, 9), (16, 5), (4096, 2)}.isdisjoint(cache) and (15, 5) in cache
+        assert {(2, 9), (16, 5), (4096, 2)}.isdisjoint(admitted) and (15, 5) in admitted
+        assert len(admitted) <= exact.SIMPLEX_ENTRIES and info().currsize == len(admitted)
+        assert all(self.stored(*key) for key in admitted)
         # a full cache drops its least recently used simplex first
-        cache.clear()
+        exact._small_simplex.cache_clear()
         keys = [(n, 2) for n in range(1, exact.SIMPLEX_ENTRIES + 1)]
         for key in keys:
             exact._small_simplex(*key)
         exact._small_simplex(*keys[0])
         exact._small_simplex(100, 2)
-        assert len(cache) == exact.SIMPLEX_ENTRIES
-        assert keys[1] not in cache and keys[0] in cache and (100, 2) in cache
+        assert info().currsize == exact.SIMPLEX_ENTRIES
+        assert self.stored(*keys[0]) and self.stored(100, 2) and not self.stored(*keys[1])
 
-    def test_threads_share_the_first_build(self, cache):
+    def test_threads_get_equal_read_only_entries(self, info):
         start = threading.Barrier(4)
         got = [None] * 4
 
@@ -625,6 +683,9 @@ class TestSimplexCache:
             t.start()
         for t in threads:
             t.join()
-        assert list(cache) == [(13, 5)]
+        assert info().currsize == 1
+        kept = exact._small_simplex(13, 5)
         for entry in got:
-            assert all(a is b for a, b in zip(entry, cache[13, 5]))
+            for a, b in zip(entry, kept, strict=True):
+                assert not a.flags.writeable and a.dtype == b.dtype
+                np.testing.assert_array_equal(a, b)

@@ -8,6 +8,7 @@ from shuffleleak import (
     InvalidParameterError,
     ShuffleSample,
     make_uniform,
+    make_zipf,
     position_posterior,
     sample_shuffle_only,
 )
@@ -44,6 +45,18 @@ class TestSampling:
         for _ in range(100_000):
             counts[sample_shuffle_only(p, q, n, rng).k_true - 1] += 1
         assert chisquare(counts).pvalue > 0.01
+
+    @pytest.mark.parametrize("seed, p, q, n, expected", [
+        (0, make_zipf(4, 0.7), make_uniform(4), 6, ((1, 1, 2, 4, 4, 2), 3, 2)),
+        (1, dist(0.3, 0.7, labels="ab"), dist(0.2, 0.5, 0.3, labels="abc"), 5,
+         (("a", "c", "b", "c", "b"), 5, "b")),
+        (2, make_uniform(3), make_zipf(3, 1.0), 8, ((2, 1, 1, 1, 1, 1, 2, 2), 2, 1)),
+    ])
+    def test_seeded_draws_are_reproduced(self, seed, p, q, n, expected):
+        # recorded values: the draw order (target, covers, permutation) and
+        # the inverse-CDF search fix every seeded sample
+        s = sample_shuffle_only(p, q, n, np.random.default_rng(seed))
+        assert (s.z, s.k_true, s.y1) == expected
 
     def test_sample_invariant_enforced(self):
         with pytest.raises(InvalidInputError):
