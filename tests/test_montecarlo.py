@@ -24,12 +24,16 @@ from shuffleleak import (
     signal_rate,
 )
 from shuffleleak import exact, montecarlo
-from shuffleleak.exact import binomial_weights, input_form, message_form, position_form
+from shuffleleak.exact import (
+    CHUNK_ROWS,
+    binomial_weights,
+    input_form,
+    message_form,
+    position_form,
+)
 from shuffleleak.montecarlo import (
     BLOCK_SIZE,
-    _block_rngs,
     _block_scores,
-    _blocks,
     _control,
     _drawer,
     _estimate,
@@ -50,6 +54,11 @@ U4 = make_uniform(4)
 def block_rng(seed, block):
     """A new generator on block ``block``'s stream of a row at ``seed``."""
     return np.random.Generator(np.random.Philox(key=(seed << 64) | block))
+
+
+def block_sizes(samples):
+    """The sizes of a row's blocks of ``samples`` draws, in block order."""
+    return [min(BLOCK_SIZE, samples - start) for start in range(0, samples, BLOCK_SIZE)]
 
 
 def no_control(form):
@@ -105,25 +114,31 @@ class TestDeterminism:
         r = estimate_message_mi(ZIPF, U4, 8, samples=1234, seed=99)
         assert r.samples == 1234 and r.seed == 99
 
-    @pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
-    def test_reused_generator_draws_each_blocks_own_stream(self, seed):
-        # a block ends on an odd number of 32-bit draws, so a carried-over
-        # half word or buffered output would show in the next block
-        def draws(gen):
-            return [
-                gen.integers(0, 2**32, 3, dtype=np.uint32),
-                gen.random(5),
-                gen.binomial(1000, 0.3, 4),
-                gen.binomial([5, 50, 500, 5000], 0.4),
-                gen.integers(0, 2**32, 3, dtype=np.uint32),
-            ]
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    @pytest.mark.parametrize("n", [8, 1024], ids=["tabled", "drawn"])
+    def test_each_block_draws_its_own_philox_stream(self, n, seed):
+        # block b gets a generator on Philox key (b, seed) at counter 0
+        # with nothing buffered, so its draws are a new generator's on that
+        # key; the last block is partial
+        form = message_form(ZIPF, U4, n)
+        block = _scorer(form, n, _control(form, n))
+        seen = []
 
-        sizes = []
-        for block, (rng, size) in enumerate(_block_rngs(seed, 5 * BLOCK_SIZE + 3)):
-            sizes.append(size)
-            for mine, theirs in zip(draws(rng), draws(block_rng(seed, block))):
-                assert np.array_equal(mine, theirs), block
-        assert sizes == [BLOCK_SIZE] * 5 + [3]
+        def stat(rng, size):
+            state = rng.bit_generator.state
+            seen.append((state["state"]["key"].tolist(), state["state"]["counter"].tolist(),
+                         state["buffer_pos"], state["has_uint32"], size))
+            scores = _block_scores(*block(rng, size))
+            reference = _block_scores(*block(block_rng(seed, len(seen) - 1), size))
+            assert np.array_equal(scores, reference)
+            return scores
+
+        samples = 5 * BLOCK_SIZE + 3
+        got = _estimate(stat, samples, seed)
+        sizes = [BLOCK_SIZE] * 5 + [3]
+        assert seen == [([b, seed], [0] * 4, 4, 0, size) for b, size in enumerate(sizes)]
+        r = estimate_message_mi(ZIPF, U4, n, samples=samples, seed=seed)
+        assert (r.estimate, r.stderr) == (got.estimate + form.constant, got.stderr)
 
 
 class TestDegenerate:
@@ -515,7 +530,7 @@ class TestTableDraw:
         n, samples = 6, 100_000
         form = message_form(P3_GAP, Q3, n)
         h = np.concatenate(
-            [table_draw(form, n, 7, b, size) for b, size in _blocks(samples)], axis=1
+            [table_draw(form, n, 7, b, size) for b, size in enumerate(block_sizes(samples))], axis=1
         ).astype(int)
         states, counts = np.unique(h, axis=1, return_counts=True)
         observed = dict(zip(map(tuple, states.T), counts))
@@ -596,7 +611,9 @@ def split_draws(form, n, seed, samples):
     """``samples`` histograms drawn by ``_drawer``, block by block, as a row
     at ``seed`` draws them."""
     draw = _drawer(form, n)
-    return np.concatenate([draw(rng, size) for rng, size in _block_rngs(seed, samples)], axis=1)
+    return np.concatenate(
+        [draw(block_rng(seed, b), size) for b, size in enumerate(block_sizes(samples))], axis=1
+    )
 
 
 class TestSplitDraw:
@@ -686,7 +703,9 @@ class TestStableVariance:
 
         samples = 100_000
         r = _estimate(stat, samples, 3)
-        stats = np.concatenate([stat(block_rng(3, b), size) for b, size in _blocks(samples)])
+        stats = np.concatenate(
+            [stat(block_rng(3, b), size) for b, size in enumerate(block_sizes(samples))]
+        )
         assert r.stderr == pytest.approx(
             np.std(stats - 1e4, ddof=1) / math.sqrt(samples), rel=1e-6
         )
@@ -714,6 +733,24 @@ class TestBlockMemory:
             finally:
                 tracemalloc.stop()
             assert peak < 3.5 * histogram
+
+    def test_control_at_many_symbols_is_scored_in_chunks(self, monkeypatch):
+        # the 19 603-point design at m = 100 peaked at 48 MiB when it was
+        # built whole, as a Python list per point plus one (m, points) array
+        widths = []
+        score = montecarlo._score
+        monkeypatch.setattr(montecarlo, "_score",
+                            lambda form, n, h: widths.append(h.shape[1]) or score(form, n, h))
+        form = message_form(make_zipf(100, 0.7), make_uniform(100), 64)
+        tracemalloc.start()
+        try:
+            control = _control(form, 64)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * 2**20
+        assert widths == [CHUNK_ROWS, 1 + 2 * 99 + 2 * 99 * 98 - CHUNK_ROWS]
+        assert control.any() and np.isfinite(control).all()
 
     def test_table_build_and_block_are_bounded_by_the_histogram(self):
         # the largest table, 4096 histograms of two symbols, and a block
