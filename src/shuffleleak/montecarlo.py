@@ -11,24 +11,32 @@ sample's score sum(target) statistic(h) / lr(h) averages to the form's
 mean. The score is the divergence of the exact posterior from the prior,
 so the only error is statistical; the hidden part is added exactly.
 
-Where h takes at most BLOCK_SIZE values, C(n + m - 1, m - 1) for m
-visible symbols (every row of n <= 8 at m <= 5, and n = 16 at m = 4),
+Where h takes at most SIMPLEX_ROWS = 4096 values, C(n + m - 1, m - 1)
+for m visible symbols (every row of n <= 8 at m <= 5, and n = 16 at m = 4),
 the same law is drawn from a table instead (``_scorer``): the exact
 oracles' enumeration gives every h with its multinomial weight (the
 histograms of a small simplex come from ``exact``'s cache), and
 every h is scored and controlled, once per estimate; each block then
 draws table entries by inverse CDF and gathers their scores. Above
-BLOCK_SIZE values a row draws J and the covers as above, the covers by
+SIMPLEX_ROWS values a row draws J and the covers as above, the covers by
 binary splitting (``_drawer``): the first half of the symbols takes a
 Bin(n - 1, c_left) share of the counts, drawn by inverse CDF over a
-table of its n probabilities when n <= BLOCK_SIZE and by
+table of its n probabilities when n <= SIMPLEX_ROWS and by
 ``rng.binomial`` above, and each range of symbols is halved again,
 breadth-first, by ``rng.binomial`` on its parent's counts. On a 2-vCPU
-host a 4096-draw block at m = 4 costs about 0.1 ms from the table
-(0.1-0.3 ms to build), and 0.65-0.8 ms drawn at n <= 4096 (0.8-1.0 ms
-above), with J and the float histogram: 0.5-0.67 times (0.75-0.9
-above) a draw by ``rng.multinomial``, whose set-up is redone for every
-row.
+host 4096 draws at m = 4 cost about 0.1 ms from the table (0.1-0.3 ms
+to build), and 0.65-0.8 ms drawn at n <= 4096 (0.8-1.0 ms above), with
+J and the float histogram: 0.5-0.67 times (0.75-0.9 above) a draw by
+``rng.multinomial``, whose set-up is redone for every row.
+
+A block holds BLOCK_SIZE = 12 288 = 3 * 4096 samples, so a preset row
+of 24 576 is two blocks. Each block pays a fixed cost of about a hundred
+calls, most of them short numpy calls that hold the interpreter lock for
+most of their time, so two worker threads queue on them, while the long
+draw calls, which release it, overlap. Against blocks of 4096 (six per
+preset row), fig2 + fig3 at --workers 2 take about a fifth less wall
+time and a seventh less CPU on a 2-vCPU host; blocks of 24 576 or
+32 768 samples took about twice the CPU of 12 288.
 
 Each score has a control variate subtracted: a quadratic in h whose mean
 under the draw law is exactly 0, with coefficients from central
@@ -45,21 +53,22 @@ A drawn block holds one (symbols, rows) float histogram, each symbol's
 row converted once from its integer counts as the split reaches it, and
 the statistics work one symbol (or input) row at a time on vectors of
 length rows; the control adds one (rows, symbols) product. At m = 4 a
-4096-row block peaks at 2.5-3.0 times the 128 KiB histogram under
-tracemalloc, a tabled block at 0.8 times. More
-float temporaries of the histogram's size made glibc trim and regrow its
-heap on every block, tens of thousands of page faults per preset
-battery. A table build peaks once per estimate, at 0.16 MiB for n = 16,
+block peaks at 2.7-3.0 times its 384 KiB histogram under tracemalloc, a
+tabled block at 0.75 times; at m = 64 a drawn block peaks at 12.2 MiB,
+2.0 times its 6 MiB histogram. More float temporaries of the
+histogram's size made glibc trim and regrow its heap on every block,
+tens of thousands of page faults per preset battery. A table build peaks once per estimate, at 0.16 MiB for n = 16,
 m = 4 and at 0.3-0.6 MiB for the largest tables (4096 values at m = 2,
 3876 at m = 5).
 
-Determinism contract: samples are organized into fixed-size blocks and
-block b draws from a new generator on the counter-based Philox stream
-keyed by (seed, b), at counter 0. The control and the tables depend on
-the form and n only, and each half's choice to use the control depends
-only on the other half's draws. Partial sums are reduced with exact
-float summation and the per-block variances are merged in block order,
-so results are bit-identical however the blocks are scheduled.
+Determinism contract: samples are organized into blocks of BLOCK_SIZE,
+the last one partial, and block b draws from a new generator on the
+counter-based Philox stream keyed by (seed, b), at counter 0. The
+control and the tables depend on the form and n only, and each half's
+choice to use the control depends only on the other half's draws.
+Partial sums are reduced with exact float summation and the per-block
+variances are merged in block order, so results are bit-identical
+however the blocks are scheduled.
 """
 
 from __future__ import annotations
@@ -74,6 +83,7 @@ import numpy as np
 from .errors import InvalidParameterError
 from .exact import (
     CHUNK_ROWS,
+    SIMPLEX_ROWS,
     HistogramForm,
     binomial_weights,
     input_form,
@@ -84,7 +94,7 @@ from .exact import (
 from .mechanisms import Randomizer
 from .probability import Categorical
 
-BLOCK_SIZE = 4096
+BLOCK_SIZE = 12_288  # samples per Philox block; see the module docstring
 DEFAULT_SAMPLES = 100_000  # samples per estimate when a config or call gives none
 MIN_SAMPLES = 2  # one sample has no spread, so its stderr would read 0
 MIN_STEP = 0.125  # smallest design step of the control, in counts
@@ -155,11 +165,11 @@ def _control(form: HistogramForm, n: int) -> np.ndarray:
     constant terms fold into A. The control is 0 when m = 1 or when a
     positive design needs a step below MIN_STEP counts.
 
-    The design's 1 + 2d + 2d(d - 1) points are built BLOCK_SIZE at a time
-    and scored CHUNK_ROWS at a time, so one call at m = 100 peaks at about
-    20 MiB under tracemalloc, not the whole design's 48 MiB. The score
-    work, O(m^3), is unchanged: 0.12 s at m = 100 and 1.2 s at m = 200 on
-    a 2-vCPU host.
+    The design's 1 + 2d + 2d(d - 1) points are built SIMPLEX_ROWS = 4096
+    at a time and scored CHUNK_ROWS at a time, so one call at m = 100
+    peaks at about 20 MiB under tracemalloc, not the whole design's
+    48 MiB. The score work, O(m^3), is unchanged: 0.12 s at m = 100 and
+    1.2 s at m = 200 on a 2-vCPU host.
     """
     m = len(form.cover)
     d = m - 1
@@ -217,8 +227,8 @@ def _control(form: HistogramForm, n: int) -> np.ndarray:
     f = []
     for i in range(0, size, CHUNK_ROWS):
         points = np.empty((m, min(CHUNK_ROWS, size - i)))
-        for j in range(0, points.shape[1], BLOCK_SIZE):
-            piece = list(itertools.islice(columns, BLOCK_SIZE))
+        for j in range(0, points.shape[1], SIMPLEX_ROWS):
+            piece = list(itertools.islice(columns, SIMPLEX_ROWS))
             points[:d, j : j + len(piece)] = np.array(piece).T
         points[d] = n - points[:d].sum(axis=0)
         f += _score(form, n, points).tolist()
@@ -279,7 +289,7 @@ def _drawer(
     X is drawn by binary splitting (Devroye 1986, ch. XI): the root split
     draws the first half's count Bin(n - 1, sum(c[:m // 2]) / sum(c)), by
     inverse CDF over the n-entry table of ``exact.binomial_weights`` when
-    n <= BLOCK_SIZE and by ``rng.binomial`` above; each half of the block
+    n <= SIMPLEX_ROWS and by ``rng.binomial`` above; each half of the block
     then sorts its root counts (``_sorted_halves``). Every later split,
     breadth-first, draws ``rng.binomial(parent counts, p)``; for m <= 4
     the parents arrive sorted, so numpy reuses its set-up for each run of
@@ -291,7 +301,7 @@ def _drawer(
     m = len(c)
     splits = _splits(c)
     share = splits[0][3]  # of the root split
-    if n <= BLOCK_SIZE:
+    if n <= SIMPLEX_ROWS:
         cdf = np.cumsum(binomial_weights(n - 1, share))
         cdf /= cdf[-1]
 
@@ -348,7 +358,7 @@ def _table(form: HistogramForm, n: int) -> tuple[np.ndarray, np.ndarray]:
     smallest float) is left out: it is never drawn, and with no target
     message its score would divide by lr(h) = 0."""
     c = form.cover / form.cover.sum()
-    # a table holds at most BLOCK_SIZE <= CHUNK_ROWS histograms: one chunk
+    # a table holds at most SIMPLEX_ROWS <= CHUNK_ROWS histograms: one chunk
     [(h, weight)] = weighted_histograms(n, c)
     law = weight * ((_proposal(form) / (n * c)) @ h)
     reached = law > 0
@@ -373,13 +383,13 @@ def _scorer(
     form at population n, set up once per estimate.
 
     When the histogram's C(n + m - 1, m - 1) values are at most
-    BLOCK_SIZE, scoring every value once costs no more than scoring one
+    SIMPLEX_ROWS, scoring every value once costs no more than scoring one
     block, so each block is drawn by inverse CDF over the table and
-    gathers the table's scores and controls. Above BLOCK_SIZE values a
+    gathers the table's scores and controls. Above SIMPLEX_ROWS values a
     block is drawn by ``_drawer`` and scored as drawn.
     """
     m = len(form.cover)
-    if math.comb(n + m - 1, m - 1) > BLOCK_SIZE:
+    if math.comb(n + m - 1, m - 1) > SIMPLEX_ROWS:
         draw = _drawer(form, n)
 
         def drawn(rng: np.random.Generator, size: int) -> tuple[np.ndarray, np.ndarray]:

@@ -270,9 +270,9 @@ def to_csv(rows: Sequence[ResultRow]) -> str:
 
 _FIG1_GRID = (2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096)
 _MC_GRID = (16, 32, 64, 128, 256, 512, 1024)  # the fig2 and fig3 populations
-# six blocks: with the control variate, every fig2/fig3 Monte Carlo row has
-# no larger a stderr than the plain score at 10^5 samples
-PRESET_SAMPLES = 6 * montecarlo.BLOCK_SIZE
+# two blocks, 24 576 samples: with the control variate, every fig2/fig3
+# Monte Carlo row has no larger a stderr than the plain score at 10^5 samples
+PRESET_SAMPLES = 2 * montecarlo.BLOCK_SIZE
 
 
 def preset_configs(name: str, samples: int | None = None, seed: int | None = None):

@@ -4,25 +4,32 @@ battery, at --workers 1 and 2, against files written by an earlier tree.
 The battery plans every (mode, quantity, method) row the runner knows, and
 among them a Monte Carlo row drawn from a table (n = 4 at m = 4), a drawn
 one (n = 64), an exact cell of several enumeration chunks and exact cells
-over the state ceiling that 'all' skips. Its Monte Carlo rows draw three
+over the state ceiling that 'all' skips. Its Monte Carlo rows draw two
 blocks each, so at --workers 2 the pool runs them.
 
 The files under ``tests/golden`` were written by ``shuffleleak`` itself,
-before the simplex cache and the per-config values in ``runner`` existed:
-a refactor that moves one float operation changes a byte here. Write them
-again only for a change that means to alter the output, and say why.
+with ``python tests/test_golden.py``, which also records in
+``provenance.json`` the numpy version and machine that wrote them. numpy
+promises no stable ``Generator`` stream across versions, so a Monte Carlo
+mismatch under another numpy names both versions. A refactor that moves
+one float operation changes a byte here. Write the files again only for a
+change that means to alter the output, and say why.
 """
 
 import json
+import platform
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from shuffleleak.cli import main
+from shuffleleak.montecarlo import BLOCK_SIZE
 
 GOLDEN = Path(__file__).parent / "golden"
-SAMPLES = 3 * 4096 - 7  # three blocks, the last one short and of odd size
+PRESETS = ("fig1", "fig2", "fig3")
+SAMPLES = 4 * 4096 - 7  # two blocks of 12 288, the last one short and of odd size
 ZIPF = {"type": "zipf", "m": 4, "alpha": 0.7}
 UNIFORM = {"type": "uniform", "m": 4}
 KRR3 = {"type": "krr", "k": 3, "eps0": 1.0}
@@ -67,20 +74,43 @@ def _csv(args: list[str], workers: int, out: Path) -> bytes:
     return out.read_bytes()
 
 
+def _preset(name: str, workers: int, tmp: Path) -> bytes:
+    return _csv(["preset", name, "--seed", "1"], workers, tmp / f"{name}.csv")
+
+
+def _run(label: str, workers: int, tmp: Path) -> bytes:
+    path = tmp / f"{label}.json"
+    path.write_text(json.dumps(_doc(label)))
+    return _csv(["run", "--config", str(path)], workers, tmp / f"run_{label}.csv")
+
+
+def _host() -> dict:
+    return {"numpy": np.__version__, "machine": platform.machine()}
+
+
+def _check(got: bytes, name: str) -> None:
+    if got == (GOLDEN / name).read_bytes():
+        return
+    written = json.loads((GOLDEN / "provenance.json").read_text())
+    note = ""
+    if written != _host():
+        note = (f"; the golden files were written with numpy {written['numpy']} on "
+                f"{written['machine']} and this run has numpy {np.__version__} on "
+                f"{platform.machine()}, and numpy's Generator streams may differ "
+                f"between versions")
+    pytest.fail(f"{name} differs from its golden bytes{note}")
+
+
 @pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.parametrize("name", ["fig1", "fig2", "fig3"])
+@pytest.mark.parametrize("name", PRESETS)
 def test_preset_bytes(tmp_path, name, workers):
-    got = _csv(["preset", name, "--seed", "1"], workers, tmp_path / "out.csv")
-    assert got == (GOLDEN / f"{name}.csv").read_bytes()
+    _check(_preset(name, workers, tmp_path), f"{name}.csv")
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_run_battery_bytes(tmp_path, workers):
     for label in BATTERY:
-        path = tmp_path / f"{label}.json"
-        path.write_text(json.dumps(_doc(label)))
-        got = _csv(["run", "--config", str(path)], workers, tmp_path / f"{label}.csv")
-        assert got == (GOLDEN / f"run_{label}.csv").read_bytes(), label
+        _check(_run(label, workers, tmp_path), f"run_{label}.csv")
 
 
 def test_battery_plans_every_row():
@@ -98,8 +128,26 @@ def test_battery_plans_every_row():
         ("shuffle_dp", "IK"): {"exact", "bound_position"},
         ("shuffle_dp", "IY1"): {"bound_clone"},
     }
+    # more than one block per Monte Carlo row, so --workers 2 pools them
+    assert SAMPLES > BLOCK_SIZE
     # the exact cells over the ceiling are skipped, their other rows kept
     for label, n in (("so_ik", 10**6), ("dp_ik", 2000)):
         methods = [line.split(",")[2] for line in (GOLDEN / f"run_{label}.csv").read_text()
                    .splitlines() if line.startswith(f"{label},{n},")]
         assert methods and "exact" not in methods
+
+
+def test_provenance_is_recorded():
+    assert set(json.loads((GOLDEN / "provenance.json").read_text())) == set(_host())
+
+
+if __name__ == "__main__":
+    # write every golden file at --workers 1, and the host that wrote them
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in PRESETS:
+            (GOLDEN / f"{name}.csv").write_bytes(_preset(name, 1, Path(tmp)))
+        for label in BATTERY:
+            (GOLDEN / f"run_{label}.csv").write_bytes(_run(label, 1, Path(tmp)))
+    (GOLDEN / "provenance.json").write_text(json.dumps(_host(), indent=1) + "\n")

@@ -26,6 +26,7 @@ from shuffleleak import (
 from shuffleleak import exact, montecarlo
 from shuffleleak.exact import (
     CHUNK_ROWS,
+    SIMPLEX_ROWS,
     binomial_weights,
     input_form,
     message_form,
@@ -139,6 +140,21 @@ class TestDeterminism:
         assert seen == [([b, seed], [0] * 4, 4, 0, size) for b, size in enumerate(sizes)]
         r = estimate_message_mi(ZIPF, U4, n, samples=samples, seed=seed)
         assert (r.estimate, r.stderr) == (got.estimate + form.constant, got.stderr)
+
+    @pytest.mark.parametrize("case", ["tabled", "drawn", "drawn_m2"])
+    def test_a_row_of_at_most_4096_samples_does_not_read_the_block_size(
+        self, monkeypatch, case
+    ):
+        # such a row is block 0 at its own size, from the same key, whatever
+        # BLOCK_SIZE is; the table and root-table rules read SIMPLEX_ROWS, so
+        # m = 2 at n = 8192 (8193 histograms) is drawn, its root by binomial
+        p, q, n = {"tabled": (ZIPF, U4, 8), "drawn": (ZIPF, U4, 1024),
+                   "drawn_m2": (M2_P, M2_Q, 8192)}[case]
+        results = []
+        for size in (4096, 12_288):
+            monkeypatch.setattr(montecarlo, "BLOCK_SIZE", size)
+            results.append([estimate_message_mi(p, q, n, samples=s, seed=7) for s in (4093, 4096)])
+        assert results[0] == results[1]
 
 
 class TestDegenerate:
@@ -284,12 +300,13 @@ class TestPerSampleStatistics:
         # where each half of a block subtracts the control if that lowers
         # the other half's variance, and the stderr is their plug-in std /
         # sqrt(samples); at n = 8 the histograms come from the table
-        r = estimate_message_mi(ZIPF, U4, 8, samples=5000, seed=8)
+        samples = BLOCK_SIZE + 904
+        r = estimate_message_mi(ZIPF, U4, 8, samples=samples, seed=8)
         form = message_form(ZIPF, U4, 8)
         control = _control(form, 8)
         assert control.any()
         stats = []
-        for block, size in [(0, 4096), (1, 904)]:
+        for block, size in enumerate(block_sizes(samples)):
             h = table_draw(form, 8, 8, block, size)
             score, ctl = _score(form, 8, h), np.einsum("ar,ab,br->r", h, control, h)
             for mine, other in [(slice(0, size // 2), slice(size // 2, size)),
@@ -298,7 +315,7 @@ class TestPerSampleStatistics:
                 stats.append(score[mine] - use * ctl[mine])
         stats = np.concatenate(stats)
         assert r.estimate == pytest.approx(stats.mean(), abs=1e-12)
-        assert r.stderr == pytest.approx(stats.std(ddof=1) / math.sqrt(5000), rel=1e-9)
+        assert r.stderr == pytest.approx(stats.std(ddof=1) / math.sqrt(samples), rel=1e-9)
 
 
 def drawn_mean(form, n, values=None):
@@ -656,7 +673,7 @@ class TestSplitDraw:
         samples = 20 * BLOCK_SIZE
         form = message_form(U4, ZIPF, n)
         h = split_draws(form, n, 5, samples)
-        assert tables == ([n - 1] if n <= BLOCK_SIZE else [])
+        assert tables == ([n - 1] if n <= SIMPLEX_ROWS else [])
         assert (h.sum(axis=0) == n).all()
         c, tau = form.cover / form.cover.sum(), _proposal(form)
         mean = (n - 1) * c + tau
@@ -682,7 +699,7 @@ class TestSplitDraw:
         reference = block_rng(3, 0)
         reference.random(size)
         share = _splits(form.cover / form.cover.sum())[0][3]
-        if n <= BLOCK_SIZE:
+        if n <= SIMPLEX_ROWS:
             cdf = np.cumsum(binomial_weights(n - 1, share))
             cdf /= cdf[-1]
             u = reference.random(size)
@@ -713,16 +730,18 @@ class TestStableVariance:
 
 
 class TestBlockMemory:
-    @pytest.mark.parametrize("form", [
-        position_form(ZIPF, U4, 1024),
-        message_form(ZIPF, U4, 1024),
-        input_form(make_krr(4, 1.0), U4, 1024),
-    ], ids=["position", "message", "input"])
-    def test_block_peak_is_bounded_by_the_histogram(self, form):
+    @pytest.mark.parametrize("form, bound", [
+        (position_form(ZIPF, U4, 1024), 3.5),
+        (message_form(ZIPF, U4, 1024), 3.5),
+        (input_form(make_krr(4, 1.0), U4, 1024), 3.5),
+        (message_form(make_zipf(64, 0.7), make_uniform(64), 1024), 2.5),
+    ], ids=["position", "message", "input", "message_m64"])
+    def test_block_peak_is_bounded_by_the_histogram(self, form, bound):
         # statistics run one symbol (or input) row at a time; a (symbols,
         # rows) float temporary per step used to take a block to 700-800 KiB.
         # The control's one (rows, symbols) product follows the statistic.
-        histogram = 4 * BLOCK_SIZE * 8  # the block's (symbols, rows) float64 histogram
+        # At m = 64 the histogram is 6 MiB, and those two alone come on top.
+        histogram = len(form.cover) * BLOCK_SIZE * 8  # the block's float64 histogram
         for control in (no_control(form), _control(form, 1024)):
             block = _scorer(form, 1024, control)
             _block_scores(*block(block_rng(0, 0), BLOCK_SIZE))  # first-call set-up is not counted
@@ -732,7 +751,7 @@ class TestBlockMemory:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak < 3.5 * histogram
+            assert peak < bound * histogram
 
     def test_control_at_many_symbols_is_scored_in_chunks(self, monkeypatch):
         # the 19 603-point design at m = 100 peaked at 48 MiB when it was
@@ -753,18 +772,19 @@ class TestBlockMemory:
         assert control.any() and np.isfinite(control).all()
 
     def test_table_build_and_block_are_bounded_by_the_histogram(self):
-        # the largest table, 4096 histograms of two symbols, and a block
-        # drawn from a four-symbol table (969 histograms at n = 16)
-        histogram = 4 * BLOCK_SIZE * 8
+        # the largest table, SIMPLEX_ROWS = 4096 histograms of two symbols,
+        # against a four-symbol histogram of as many rows, and a block
+        # drawn from a four-symbol table (969 histograms at n = 16) against
+        # the block's four-symbol histogram
         large = message_form(M2_P, M2_Q, 4095)
         large_control = _control(large, 4095)
         small = message_form(ZIPF, U4, 16)
         block = _scorer(small, 16, _control(small, 16))
         _scorer(large, 4095, large_control)  # first-call set-up is not counted
         _block_scores(*block(block_rng(0, 0), BLOCK_SIZE))
-        for run in (
-            lambda: _scorer(large, 4095, large_control),
-            lambda: _block_scores(*block(block_rng(0, 1), BLOCK_SIZE)),
+        for run, rows in (
+            (lambda: _scorer(large, 4095, large_control), SIMPLEX_ROWS),
+            (lambda: _block_scores(*block(block_rng(0, 1), BLOCK_SIZE)), BLOCK_SIZE),
         ):
             tracemalloc.start()
             try:
@@ -772,7 +792,7 @@ class TestBlockMemory:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak < 3.5 * histogram
+            assert peak < 3.5 * 4 * rows * 8
 
 
 def mean_z(estimate, truth):
