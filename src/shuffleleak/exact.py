@@ -95,13 +95,18 @@ SIMPLEX_SYMBOLS = 8  # the most symbols a cached simplex has; bounds an entry at
 SIMPLEX_ENTRIES = 32  # simplices cached at once
 
 
+def ceiling_error(states: int) -> ResourceLimitError:
+    """The error an oracle raises for ``states`` above MAX_STATES."""
+    # Python refuses to format integers of more than 4300 digits
+    text = str(states) if states < 10**15 else f"~10^{int(math.log10(states))}"
+    return ResourceLimitError(f"the exact oracle needs {text} states, ceiling is {MAX_STATES}")
+
+
 def check_states(states: int) -> None:
-    """Raise ResourceLimitError when ``states`` exceeds MAX_STATES, read at
-    call time. A state is one histogram, grid cell or pmf term."""
+    """Raise ``ceiling_error(states)`` when ``states`` exceeds MAX_STATES,
+    read at call time. A state is one histogram, grid cell or pmf term."""
     if states > MAX_STATES:
-        # Python refuses to format integers of more than 4300 digits
-        text = str(states) if states < 10**15 else f"~10^{int(math.log10(states))}"
-        raise ResourceLimitError(f"the exact oracle needs {text} states, ceiling is {MAX_STATES}")
+        raise ceiling_error(states)
 
 
 def states_shuffle_only(p: Categorical, q: Categorical, n: int) -> int:

@@ -7,8 +7,8 @@ depend on the worker count.
 
 Worker threads run only long cells, those whose driver splits them into
 several pieces of numpy work: a Monte Carlo row of more than one block, or
-an exact cell within the ceiling whose work (``cells``) is above one
-enumeration chunk, ``exact.CHUNK_ROWS``. Two such cells can overlap,
+an exact cell whose work (``cells``) is above one enumeration chunk,
+``exact.CHUNK_ROWS``. Two such cells can overlap,
 because numpy releases the interpreter lock inside each piece. A short
 cell takes a few hundred µs and holds the lock nearly all the time, so
 another thread only contends for it. A batch with at least two long cells
@@ -18,8 +18,9 @@ short cell that raised, if one did). Short cells go first so that an
 inline failure starts no pooled cell; any other batch runs inline.
 
 ``run_configs`` builds each config's cell table (``cells``) once, on the
-calling thread and before any cell runs, and passes each cell's call to
-``compute_row``.
+calling thread and before any cell runs; there an exact cell over the state
+ceiling is dropped ('all') or refuses the batch (an explicit 'exact'). Each
+planned cell's call goes to ``compute_row``.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ import numpy as np
 from . import asymptotics as asym
 from . import config, exact, montecarlo
 from .config import Diagnostic, ExperimentConfig, cell_methods
-from .errors import InvalidInputError, InvalidParameterError, ResourceLimitError
+from .errors import InvalidInputError, InvalidParameterError
 from .mechanisms import blanket_of_randomizer, ldp_epsilon, make_krr
 from .probability import make_uniform, make_zipf
 
@@ -74,8 +75,8 @@ def cells(cfg: ExperimentConfig) -> dict:
     count its exact oracle checks against the ceiling (pmf terms for the
     matched closed form, grid cells for the dense driver), the samples of a
     Monte Carlo row, or 0 for an expansion or a bound. ``value(n, seed)``
-    returns (value, stderr), stderr None but for Monte Carlo; an exact value
-    raises ResourceLimitError over the ceiling. The values that no n changes
+    returns (value, stderr), stderr None but for Monte Carlo; ``run_configs``
+    calls it only for an exact cell within the ceiling. The values that no n changes
     (the expansion, the prior, the prior vector, eps0, the blanket
     chi-square) are built here, each only when a planned method reads it;
     the per-n oracles, estimators and bounds are looked up when a value runs.
@@ -107,13 +108,9 @@ def cells(cfg: ExperimentConfig) -> dict:
         table["exact"] = (lambda n: exact.states_input_mi(n, k),
                           lambda n, seed: (exact.input_mi_iid_others(r, prior, n), None))
     elif "exact" in planned:
-        def fixed_inputs(n, seed):
-            # the ceiling is checked before the n cycled inputs are built
-            exact.check_states(exact.states_position_dp(n, k))
-            x_inputs = cfg.x_inputs or tuple(islice(cycle(r.input_labels), n))
-            return exact.position_mi_fixed_inputs(r, x_inputs), None
-
-        table["exact"] = (lambda n: exact.states_position_dp(n, k)), fixed_inputs
+        table["exact"] = (lambda n: exact.states_position_dp(n, k)), lambda n, seed: (
+            exact.position_mi_fixed_inputs(
+                r, cfg.x_inputs or tuple(islice(cycle(r.input_labels), n))), None)
     if "mc" in planned:
         table["mc"] = lambda n: cfg.samples, lambda n, seed: _value_and_stderr(
             montecarlo.estimate_input_mi(r, prior, n, cfg.samples, seed))
@@ -140,52 +137,44 @@ def _value_and_stderr(est: montecarlo.EstimatorResult) -> tuple[float, float]:
     return est.estimate, est.stderr
 
 
-def compute_row(cfg: ExperimentConfig, n: int, method: str, call) -> ResultRow | None:
-    """Evaluate one (n, method) cell of a config by ``call()``, which returns
-    (value, stderr). Returns None when an exact cell is skipped for
-    exceeding the ceiling under 'all'."""
-    try:
-        value, stderr = call()
-    except ResourceLimitError:  # only an exact call raises it
-        if cfg.method == "all":
-            return None
-        raise
+def compute_row(cfg: ExperimentConfig, n: int, method: str, call) -> ResultRow:
+    """Evaluate one planned (n, method) cell of a config by ``call()``, which
+    returns (value, stderr)."""
+    value, stderr = call()
     return ResultRow(cfg.label, n, method, cfg.quantity, value, stderr)
 
 
 def _is_long(method: str, work: int) -> bool:
     """True for a cell of several pieces of numpy work: a Monte Carlo row of
-    more than one block, or an exact cell whose work is above one chunk and
-    within the ceiling (a cell over it only raises or is skipped)."""
-    if method == "mc":
-        return work > montecarlo.BLOCK_SIZE
-    return exact.CHUNK_ROWS < work <= exact.MAX_STATES
+    more than one block, or an exact cell whose work is above one chunk."""
+    return work > (montecarlo.BLOCK_SIZE if method == "mc" else exact.CHUNK_ROWS)
+
+
+def _over_ceiling(method: str, work: int) -> bool:
+    """True for an exact cell whose oracle would refuse its work."""
+    return method == "exact" and work > exact.MAX_STATES
 
 
 def ceiling_diagnostics(cfg: ExperimentConfig) -> list[Diagnostic]:
     """One diagnostic per n whose exact cell exceeds the state ceiling, from
-    state counts alone: a run skips that cell under 'all', exits 3 on 'exact'."""
+    state counts alone: a run drops that cell under 'all', exits 3 on 'exact'."""
     given = cfg.p if cfg.mode == "shuffle_only" else cfg.mechanism
     if given is None or cfg.method == "all" or "exact" not in cell_methods(cfg):
         return []
     # an exact cell alone reads no n-free value but the prior, which is never refused
     work = cells(replace(cfg, method="exact"))["exact"][0]
-    diags = []
-    for n in cfg.n_grid:
-        try:
-            exact.check_states(work(n))
-        except ResourceLimitError as exc:
-            diags.append(Diagnostic("n_grid", f"resource-limit: exact method at n={n}: {exc}"))
-    return diags
+    return [Diagnostic("n_grid", f"resource-limit: exact method at n={n}: "
+                       f"{exact.ceiling_error(states)}")
+            for n in cfg.n_grid if _over_ceiling("exact", states := work(n))]
 
 
 def run_configs(configs: Sequence[ExperimentConfig], workers: int = 1) -> list[ResultRow]:
     """Run every (n, method) cell of every config, in plan order.
 
-    Exact cells are skipped (not errored) when infeasible under the 'all'
-    selector; an explicit 'exact' request propagates the resource error.
-    With ``workers`` > 1 and at least two long cells (``_is_long``), the
-    batch runs in two phases: the calling thread runs the other cells in
+    An exact cell over the state ceiling is dropped from the plan under
+    'all'; an explicit 'exact' raises its ResourceLimitError before any
+    cell runs. With ``workers`` > 1 and at least two long cells
+    (``_is_long``), the batch runs in two phases: the calling thread runs the other cells in
     plan order and stops at the first that raises, then a pool of
     ``workers`` threads runs the long cells ahead of that failure, and
     after a pooled failure no later pooled cell starts. Otherwise every
@@ -198,21 +187,26 @@ def run_configs(configs: Sequence[ExperimentConfig], workers: int = 1) -> list[R
         diags = config.validate_config(cfg)
         if diags:
             raise InvalidInputError(f"config {cfg.label!r}: " + "; ".join(map(str, diags)))
-    tasks, works = [], []
+    tasks, works, position = [], [], 0
     for ci, cfg in enumerate(configs):
         table = cells(cfg)
         for n in cfg.n_grid:
             for method, (work, value) in table.items():
+                position += 1
+                if _over_ceiling(method, cost := work(n)):
+                    if cfg.method != "all":
+                        exact.check_states(cost)  # raises the oracle's own error
+                    continue
                 # only Monte Carlo rows use a seed; the index is the plan position
-                seed = _derive_seed(cfg.seed, ci, len(tasks)) if method == "mc" else 0
+                seed = _derive_seed(cfg.seed, ci, position - 1) if method == "mc" else 0
                 tasks.append((cfg, n, method, partial(value, n, seed)))
-                works.append(work(n))
+                works.append(cost)
 
     long = [i for i, (task, work) in enumerate(zip(tasks, works))
             if _is_long(task[2], work)] if workers > 1 else []
     if len(long) < 2:
         long = []
-    results: list[ResultRow | None] = [None] * len(tasks)
+    results: list = [None] * len(tasks)
     failure = None
     pooled = set(long)
     for i, task in enumerate(tasks):
@@ -243,7 +237,7 @@ def run_configs(configs: Sequence[ExperimentConfig], workers: int = 1) -> list[R
                 results[i] = row
     if failure is not None:
         raise failure
-    return [r for r in results if r is not None]
+    return results
 
 
 def _fmt(value: float) -> str:

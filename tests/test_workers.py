@@ -1,9 +1,12 @@
 """Which thread runs each cell under --workers, and what a failing batch raises.
 
 Only long cells (a Monte Carlo row of more than one block, an exact cell of
-more than one enumeration chunk within the ceiling) go to the pool, and only
-when a batch has two or more of them; every other cell runs on the calling
-thread. None of this may change the CSV bytes or which error a batch raises.
+more than one enumeration chunk) go to the pool, and only when a batch has
+two or more of them; every other cell runs on the calling thread. An exact
+cell over the state ceiling is settled while the plan is built, so it
+reaches no thread: 'all' drops it and an explicit 'exact' raises before any
+cell runs. None of this may change the CSV bytes or which error a batch
+raises.
 """
 
 import random
@@ -100,20 +103,23 @@ class TestDispatch:
         assert {(n, m) for n, m, _ in calls} >= long
         for n, method, ident in calls:
             assert (ident != me) == ((n, method) in long), (n, method)
-        assert len(rows) == len(calls) - 1  # the over-ceiling exact cell is skipped
+        # the over-ceiling exact cell is dropped from the plan, not run and skipped
+        assert (10**6, "exact") not in {(n, m) for n, m, _ in calls}
+        assert len(rows) == len(calls)
 
 
 class TestFailures:
     def test_an_inline_failure_starts_no_later_cell(self, monkeypatch):
-        # the over-ceiling exact cell comes first in plan order; one worker
-        # stops there, and so does a pool of two
+        # the over-ceiling exact cell comes first in plan order; the plan
+        # refuses it, so neither the calling thread nor a pool of two starts
+        # any cell
         calls = recorded(monkeypatch)
         cfg = ExperimentConfig(quantity="IY1", p=ZIPF, q=UNIFORM,
                                n_grid=(10**6, 64, 128, 256, 512, 1024),
                                samples=LONG_MC, method="exact+mc")
         with pytest.raises(ResourceLimitError):
             run_configs([cfg], workers=2)
-        assert [(n, m) for n, m, _ in calls] == [(10**6, "exact")]
+        assert calls == []
 
     def test_a_pooled_failure_cancels_the_queued_cells(self, monkeypatch):
         def fake(cfg, n, method):
