@@ -170,6 +170,24 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+# a predicate and its diagnostic for each field that parse_config checks on
+# the document and validate_config checks again on a config built in Python
+FIELD_CHECKS = {
+    "mode": (lambda v: v in MODES, f"must be one of {MODES}"),
+    "quantity": (lambda v: v in QUANTITIES, f"must be one of {QUANTITIES}"),
+    "n_grid": (lambda v: isinstance(v, (list, tuple)) and len(v) > 0
+               and all(_is_int(n) and n >= 1 for n in v),
+               "must be a nonempty list of positive integers"),
+    "label": (lambda v: isinstance(v, str), "must be a string"),
+}
+
+
+def _field_diagnostics(**values) -> list[Diagnostic]:
+    """One diagnostic per given field whose value fails its FIELD_CHECKS predicate."""
+    return [Diagnostic(key, FIELD_CHECKS[key][1])
+            for key, value in values.items() if not FIELD_CHECKS[key][0](value)]
+
+
 def parse_config(doc) -> tuple[ExperimentConfig | None, list[Diagnostic]]:
     """Build a config from a parsed JSON document, collecting diagnostics.
 
@@ -183,12 +201,8 @@ def parse_config(doc) -> tuple[ExperimentConfig | None, list[Diagnostic]]:
         return None, [Diagnostic("$", "config must be a JSON object")]
     diags = [Diagnostic(str(key), "unknown key") for key in doc if key not in KEYS]
 
-    mode = doc.get("mode", "shuffle_only")
-    if mode not in MODES:
-        diags.append(Diagnostic("mode", f"must be one of {MODES}"))
-    quantity = doc.get("quantity", "IY1")
-    if quantity not in QUANTITIES:
-        diags.append(Diagnostic("quantity", f"must be one of {QUANTITIES}"))
+    mode, quantity = doc.get("mode", "shuffle_only"), doc.get("quantity", "IY1")
+    diags += _field_diagnostics(mode=mode, quantity=quantity)
 
     p = q = mechanism = prior = None
     for key in ("P", "Q"):
@@ -204,12 +218,7 @@ def parse_config(doc) -> tuple[ExperimentConfig | None, list[Diagnostic]]:
         prior = parse_distribution(doc["prior"], "prior", diags)
 
     n_grid = doc.get("n_grid", [])
-    if (
-        not isinstance(n_grid, list)
-        or not n_grid
-        or any(not _is_int(n) or n < 1 for n in n_grid)
-    ):
-        diags.append(Diagnostic("n_grid", "must be a nonempty list of positive integers"))
+    diags += _field_diagnostics(n_grid=n_grid)
 
     samples = doc.get("samples", DEFAULT_SAMPLES)
     if not _is_int(samples) or samples < MIN_SAMPLES:
@@ -227,8 +236,7 @@ def parse_config(doc) -> tuple[ExperimentConfig | None, list[Diagnostic]]:
         )
 
     label = doc.get("label", "")
-    if not isinstance(label, str):
-        diags.append(Diagnostic("label", "must be a string"))
+    diags += _field_diagnostics(label=label)
 
     x_inputs = doc.get("x_inputs")
     if x_inputs is not None:
@@ -251,8 +259,16 @@ def parse_config(doc) -> tuple[ExperimentConfig | None, list[Diagnostic]]:
 
 
 def validate_config(cfg: ExperimentConfig) -> list[Diagnostic]:
-    """Semantic checks: mode requirements, unread keys, method support."""
-    diags: list[Diagnostic] = []
+    """Semantic checks: mode requirements, unread keys, method support.
+
+    The mode, quantity, n_grid and label checks of ``parse_config`` come
+    first, for a config built in Python; when one fails, those are the
+    diagnostics.
+    """
+    diags = _field_diagnostics(mode=cfg.mode, quantity=cfg.quantity, n_grid=cfg.n_grid,
+                               label=cfg.label)
+    if diags:
+        return diags
     if cfg.mode == "shuffle_only":
         unread = {"mechanism": cfg.mechanism, "prior": cfg.prior, "x_inputs": cfg.x_inputs}
     else:

@@ -8,14 +8,14 @@ depend on the worker count.
 Worker threads run only long cells, those whose driver splits them into
 several pieces of numpy work: a Monte Carlo row of more than one block, or
 an exact cell whose work (``cells``) is above one enumeration chunk,
-``exact.CHUNK_ROWS``. Two such cells can overlap,
-because numpy releases the interpreter lock inside each piece. A short
-cell takes a few hundred µs and holds the lock nearly all the time, so
-another thread only contends for it. A batch with at least two long cells
-runs in two phases: the calling thread first runs the short cells in plan
-order, then a pool runs the long cells (only those ahead of the first
-short cell that raised, if one did). Short cells go first so that an
-inline failure starts no pooled cell; any other batch runs inline.
+``exact.CHUNK_ROWS``. Two such cells can overlap, because numpy releases
+the interpreter lock inside each piece. A short cell takes a few hundred
+µs and holds the lock nearly all the time, so another thread only
+contends for it. A batch with at least two long cells runs in two phases:
+the calling thread first runs the short cells in plan order, then a pool
+runs the long cells (only those ahead of the first short cell that
+raised, if one did). Short cells go first so that an inline failure
+starts no pooled cell; any other batch runs inline.
 
 ``run_configs`` builds each config's cell table (``cells``) once, on the
 calling thread and before any cell runs; there an exact cell over the state
@@ -76,8 +76,8 @@ def cells(cfg: ExperimentConfig) -> dict:
     matched closed form, grid cells for the dense driver), the samples of a
     Monte Carlo row, or 0 for an expansion or a bound. ``value(n, seed)``
     returns (value, stderr), stderr None but for Monte Carlo; ``run_configs``
-    calls it only for an exact cell within the ceiling. The values that no n changes
-    (the expansion, the prior, the prior vector, eps0, the blanket
+    never calls it for an exact cell over the ceiling. The values that no
+    n changes (the expansion, the prior, the prior vector, eps0, the blanket
     chi-square) are built here, each only when a planned method reads it;
     the per-n oracles, estimators and bounds are looked up when a value runs.
     """
@@ -195,7 +195,7 @@ def run_configs(configs: Sequence[ExperimentConfig], workers: int = 1) -> list[R
                 position += 1
                 if _over_ceiling(method, cost := work(n)):
                     if cfg.method != "all":
-                        exact.check_states(cost)  # raises the oracle's own error
+                        raise exact.ceiling_error(cost)
                     continue
                 # only Monte Carlo rows use a seed; the index is the plan position
                 seed = _derive_seed(cfg.seed, ci, position - 1) if method == "mc" else 0

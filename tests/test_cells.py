@@ -1,7 +1,10 @@
 """The cell table: which rows a config plans, which explicit methods are
-diagnostics, and which exact cells the runner skips under ``all``."""
+diagnostics, and which exact cells the runner drops under ``all`` or
+refuses on an explicit ``exact``."""
 
 import math
+import re
+from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
@@ -16,14 +19,19 @@ from shuffleleak.config import (
     cell_methods,
     parse_config,
 )
-from shuffleleak import Categorical, make_krr, make_uniform, make_zipf, runner
-from shuffleleak.errors import InvalidInputError
+from shuffleleak import Categorical, exact, make_krr, make_uniform, make_zipf, runner
+from shuffleleak.errors import InvalidInputError, ResourceLimitError
 from shuffleleak.exact import input_mi_iid_others
 from shuffleleak.mechanisms import blanket_of_randomizer
 from shuffleleak.runner import ceiling_diagnostics, cells, run_configs
 
 ZIPF4 = {"type": "zipf", "m": 4, "alpha": 0.7}
 UNIFORM4 = {"type": "uniform", "m": 4}
+
+
+# a Python-built config that plans every shuffle_only row, Monte Carlo included
+PLANS_MC = ExperimentConfig(quantity="IY1", p=make_zipf(4, 0.7), q=make_uniform(4),
+                            n_grid=(4,), method="all")
 
 
 def krr(k):
@@ -116,14 +124,26 @@ class TestExplicitMethods:
          "method: no mc method for shuffle_dp IY1"),
         (ExperimentConfig(mode="shuffle_dp", quantity="IX1", n_grid=(4,), method="all"),
          "mechanism: shuffle_dp requires a mechanism"),
-    ], ids=["unknown-method", "unplanned-method", "no-mechanism"])
+        # parse_config's field checks, made first: the semantic checks that
+        # read n never see a grid that fails them
+        *((replace(PLANS_MC, n_grid=grid), "n_grid: must be a nonempty list of positive integers")
+          for grid in [(0,), (-3,), (True,), (), (4.0,)]),
+        (replace(PLANS_MC, label=None), "label: must be a string"),
+        (replace(PLANS_MC, n_grid=("4",), label=7),
+         "n_grid: must be a nonempty list of positive integers; label: must be a string"),
+        (replace(PLANS_MC, quantity="IQ"), "quantity: must be one of ('IK', 'IY1', 'IX1')"),
+        (replace(PLANS_MC, mode="foo"), "mode: must be one of ('shuffle_only', 'shuffle_dp')"),
+    ], ids=["unknown-method", "unplanned-method", "no-mechanism", "zero", "negative", "bool",
+            "empty", "float", "no-label", "grid-and-label", "quantity", "mode"])
     def test_a_config_built_in_python_is_validated(self, monkeypatch, cfg, diagnostic):
         # the CLI refuses these with a diagnostic; run_configs used to return
-        # no rows for the first two and raise AttributeError on the third
+        # no rows for the first two and raise AttributeError on the third, print
+        # a row at n = 0, -3 or True, print no row for an empty grid or an
+        # unknown quantity, and raise TypeError for n = 4.0 or a label of None
         ran = []
         monkeypatch.setattr(runner, "compute_row", lambda *task: ran.append(task))
         valid = ExperimentConfig(quantity="IY1", p=make_zipf(4, 0.7), n_grid=(4,))
-        with pytest.raises(InvalidInputError, match=diagnostic):
+        with pytest.raises(InvalidInputError, match=re.escape(diagnostic)):
             run_configs([valid, cfg])
         assert ran == []
 
@@ -175,6 +195,70 @@ class TestExactSkips:
         planned = [(n, m) for n in (4, big) for m in cell_methods(cfg)]
         assert "exact" in cell_methods(cfg)
         assert cells == [c for c in planned if c != (big, "exact")]
+
+    @staticmethod
+    def watched(monkeypatch):
+        """Two lists, filled as a run goes: (oracle, n) for each exact oracle
+        call and (n, method) for each cell that reaches ``compute_row``. The
+        oracles and cells still run."""
+        oracles, ran = [], []
+        for name in ("position_mi_exact", "message_mi_exact", "matched_message_mi",
+                     "input_mi_iid_others", "position_mi_fixed_inputs"):
+            def record(*args, _name=name, _real=getattr(exact, name)):
+                n = len(args[1]) if _name == "position_mi_fixed_inputs" else args[-1]
+                oracles.append((_name, n))
+                return _real(*args)
+
+            monkeypatch.setattr(exact, name, record)
+        real = runner.compute_row
+
+        def compute_row(cfg, n, method, call):
+            ran.append((n, method))
+            return real(cfg, n, method, call)
+
+        monkeypatch.setattr(runner, "compute_row", compute_row)
+        return oracles, ran
+
+    @pytest.mark.parametrize("case", SKIP_CASES)
+    def test_explicit_exact_raises_before_any_cell_runs(self, monkeypatch, case):
+        # the refusal comes from the plan: no cell ahead of the flagged n runs,
+        # and its text is the one validate prints for that n
+        literals, big = SKIP_CASES[case]
+        cfg, diags = self.parsed(literals, "exact", (4, big, 2 * big))
+        assert diags == []
+        first = ceiling_diagnostics(cfg)[0]
+        oracles, ran = self.watched(monkeypatch)
+        for workers in (1, 2):
+            with pytest.raises(ResourceLimitError) as err:
+                run_configs([cfg], workers=workers)
+            assert first.message == f"resource-limit: exact method at n={big}: {err.value}"
+        assert oracles == [] and ran == []
+
+    @pytest.mark.parametrize("case", SKIP_CASES)
+    def test_all_never_calls_the_oracle_of_a_dropped_cell(self, monkeypatch, case):
+        literals, big = SKIP_CASES[case]
+        cfg, diags = self.parsed(literals, "all", (4, big))
+        assert diags == []
+        oracles, ran = self.watched(monkeypatch)
+        run_configs([cfg])
+        assert [n for _, n in oracles] == [4]
+        assert (4, "exact") in ran and (big, "exact") not in ran
+
+    @pytest.mark.parametrize("case", SKIP_CASES)
+    def test_validate_and_run_flag_the_same_n(self, monkeypatch, case):
+        # validate flags on 'exact' the n whose exact cell 'all' drops; a run
+        # on 'exact' refuses the first of them (see above)
+        literals, big = SKIP_CASES[case]
+        grid = (4, big, 5, 2 * big)
+        cfg, _ = self.parsed(literals, "exact", grid)
+        diags = ceiling_diagnostics(cfg)
+        flagged = [n for n in grid if any(f" at n={n}: " in d.message for d in diags)]
+        assert len(diags) == len(flagged) == 2
+        ran = []
+        monkeypatch.setattr(runner, "compute_row",
+                            lambda cfg, n, method, call: ran.append((n, method)))
+        run_configs([self.parsed(literals, "all", grid)[0]])
+        assert [n for n in grid if (n, "exact") not in ran] == flagged
 
     def test_matched_closed_form_is_not_flagged_at_a_million(self):
         # 4 (10^6 + 1) pmf terms stay under the ceiling

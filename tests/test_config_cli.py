@@ -453,7 +453,9 @@ class TestRunner:
         assert exact_ns == [4]
 
     def test_row_seeds_reach_the_estimators(self, monkeypatch):
-        # only Monte Carlo rows derive a seed, from their position in the whole plan
+        # only Monte Carlo rows derive a seed, from their position in the whole
+        # plan; that position counts an exact cell that 'all' drops over the
+        # ceiling
         seen = []
 
         def recorder(name):
@@ -472,12 +474,17 @@ class TestRunner:
                              n_grid=(4, 8), samples=100, seed=5, method="all"),
             ExperimentConfig(mode="shuffle_dp", quantity="IX1", mechanism=make_krr(3, 1.0),
                              n_grid=(4,), samples=100, seed=9, method="mc+bounds"),
+            # plan positions 9 (exact, dropped), 10 (mc) and 11 (asym)
+            ExperimentConfig(quantity="IY1", p=make_zipf(3, 0.7), q=make_uniform(3),
+                             n_grid=(10**6,), samples=100, seed=11, method="all"),
         ]
-        run_configs(configs, workers=2)
+        rows = run_configs(configs, workers=2)
+        assert [(r.n, r.method) for r in rows[-2:]] == [(10**6, "mc"), (10**6, "asym")]
         want = [
             ("estimate_position_mi", 4, _derive_seed(5, 0, 1)),
             ("estimate_position_mi", 8, _derive_seed(5, 0, 4)),
             ("estimate_input_mi", 4, _derive_seed(9, 1, 6)),
+            ("estimate_message_mi", 10**6, _derive_seed(11, 2, 10)),
         ]
         assert sorted(seen) == sorted(want)
 

@@ -54,7 +54,7 @@ def plain_row(cfg, n, method):
 def mixed_batch():
     """Three-block Monte Carlo rows, an exact cell above one chunk, short
     asym and bound rows, and an 'all' config whose exact cell at n = 10^6 is
-    over the ceiling and skipped."""
+    over the ceiling and dropped from the plan."""
     return [
         mc_config((16, 64), method="mc+asym", label="mc_asym"),
         ExperimentConfig(quantity="IY1", p=ZIPF, q=UNIFORM, n_grid=(40,),
