@@ -178,6 +178,12 @@ FIELD_CHECKS = {
     "n_grid": (lambda v: isinstance(v, (list, tuple)) and len(v) > 0
                and all(_is_int(n) and n >= 1 for n in v),
                "must be a nonempty list of positive integers"),
+    "samples": (lambda v: _is_int(v) and v >= MIN_SAMPLES,
+                f"must be an integer of at least {MIN_SAMPLES}"),
+    "seed": (lambda v: _is_int(v) and 0 <= v < SEED_LIMIT, "must be an integer in [0, 2^64)"),
+    "method": (lambda v: v == "all" or isinstance(v, str)
+               and all(m in BASE_METHODS for m in v.split("+")),
+               f"must be 'all' or a '+'-joined subset of {BASE_METHODS}"),
     "label": (lambda v: isinstance(v, str), "must be a string"),
 }
 
@@ -220,23 +226,9 @@ def parse_config(doc) -> tuple[ExperimentConfig | None, list[Diagnostic]]:
     n_grid = doc.get("n_grid", [])
     diags += _field_diagnostics(n_grid=n_grid)
 
-    samples = doc.get("samples", DEFAULT_SAMPLES)
-    if not _is_int(samples) or samples < MIN_SAMPLES:
-        diags.append(Diagnostic("samples", f"must be an integer of at least {MIN_SAMPLES}"))
-
-    seed = doc.get("seed", 0)
-    if not _is_int(seed) or not 0 <= seed < SEED_LIMIT:
-        diags.append(Diagnostic("seed", "must be an integer in [0, 2^64)"))
-
-    method = doc.get("method", "all")
-    if method != "all" and any(m not in BASE_METHODS for m in str(method).split("+")):
-        diags.append(
-            Diagnostic("method", "must be 'all' or a '+'-joined subset of "
-                       f"{BASE_METHODS}")
-        )
-
-    label = doc.get("label", "")
-    diags += _field_diagnostics(label=label)
+    samples, seed = doc.get("samples", DEFAULT_SAMPLES), doc.get("seed", 0)
+    method, label = doc.get("method", "all"), doc.get("label", "")
+    diags += _field_diagnostics(samples=samples, seed=seed, method=method, label=label)
 
     x_inputs = doc.get("x_inputs")
     if x_inputs is not None:
@@ -261,11 +253,12 @@ def parse_config(doc) -> tuple[ExperimentConfig | None, list[Diagnostic]]:
 def validate_config(cfg: ExperimentConfig) -> list[Diagnostic]:
     """Semantic checks: mode requirements, unread keys, method support.
 
-    The mode, quantity, n_grid and label checks of ``parse_config`` come
-    first, for a config built in Python; when one fails, those are the
+    The field checks of ``parse_config`` (``FIELD_CHECKS``) come first,
+    for a config built in Python; when one fails, those are the
     diagnostics.
     """
     diags = _field_diagnostics(mode=cfg.mode, quantity=cfg.quantity, n_grid=cfg.n_grid,
+                               samples=cfg.samples, seed=cfg.seed, method=cfg.method,
                                label=cfg.label)
     if diags:
         return diags

@@ -11,23 +11,37 @@ sample's score sum(target) statistic(h) / lr(h) averages to the form's
 mean. The score is the divergence of the exact posterior from the prior,
 so the only error is statistical; the hidden part is added exactly.
 
-Where h takes at most SIMPLEX_ROWS = 4096 values, C(n + m - 1, m - 1)
-for m visible symbols (every row of n <= 8 at m <= 5, and n = 16 at m = 4),
-the same law is drawn from a table instead (``_scorer``): the exact
-oracles' enumeration gives every h with its multinomial weight (the
-histograms of a small simplex come from ``exact``'s cache), and
-every h is scored and controlled, once per estimate; each block then
-draws table entries by inverse CDF and gathers their scores. Above
-SIMPLEX_ROWS values a row draws J and the covers as above, the covers by
-binary splitting (``_drawer``): the first half of the symbols takes a
-Bin(n - 1, c_left) share of the counts, drawn by inverse CDF over a
-table of its n probabilities when n <= SIMPLEX_ROWS and by
-``rng.binomial`` above, and each range of symbols is halved again,
-breadth-first, by ``rng.binomial`` on its parent's counts. On a 2-vCPU
-host 4096 draws at m = 4 cost about 0.1 ms from the table (0.1-0.3 ms
-to build), and 0.65-0.8 ms drawn at n <= 4096 (0.8-1.0 ms above), with
-J and the float histogram: 0.5-0.67 times (0.75-0.9 above) a draw by
-``rng.multinomial``, whose set-up is redone for every row.
+Where h takes at most max(SIMPLEX_ROWS, min(samples, CHUNK_ROWS))
+values, C(n + m - 1, m - 1) for m visible symbols (every row of n <= 8
+at m <= 5 and n = 16 at m = 4, and for a preset row of 24 576 samples
+n <= 44 at m = 4), the same law is drawn from a table instead
+(``_scorer``): the exact oracles' enumeration, in one chunk, gives every
+h with its multinomial weight (a simplex of at most SIMPLEX_ROWS comes
+from ``exact``'s cache), and every h is scored and controlled, once per
+estimate; each block then draws table entries by inverse CDF and
+gathers their scores. Scoring a value of the table costs about what
+scoring a draw does, so a row tables at most as many values as it
+draws, past SIMPLEX_ROWS; a row of at most 4096 samples keeps the
+SIMPLEX_ROWS rule. Above the table a row draws J and the covers as
+above, the covers by binary splitting (``_drawer``): the first half of
+the symbols takes a Bin(n - 1, c_left) share of the counts, drawn by
+inverse CDF over a table of its n probabilities when n <= SIMPLEX_ROWS
+and by ``rng.binomial`` above, and each range of symbols is halved
+again, breadth-first, on its parent's counts: by one search of a per-row
+table of every parent count's binomial CDF (``_split_keys``) when those
+tables together hold at most min(samples, CHUNK_ROWS) keys (n <= 128 at
+m = 4 for a preset row), and by ``rng.binomial`` otherwise.
+
+On a 2-vCPU host one block of 12 288 samples at m = 4 (message form:
+draw, score and control) costs 0.35-0.55 ms from the table at
+n = 16-44, after 0.5-3.2 ms to build it; 1.9-2.4 ms drawn with keyed
+splits at n = 64-128, after 0.4-0.9 ms to build their tables; and
+2.7-3.5 ms drawn with ``rng.binomial`` splits at n = 256-1024. The two
+child splits of a block take 0.8-1.1 ms keyed at n = 32-128, against
+1.5-3.3 ms by ``rng.binomial`` on the same root counts (Zipf(4, 1.1) and
+uniform covers): numpy's inversion walks about parent * p steps per draw
+(Kachitvichyanukul & Schmeiser 1988), while a table search costs the
+same at any parent * p (Devroye 1986, ch. III).
 
 A block holds BLOCK_SIZE = 12 288 = 3 * 4096 samples, so a preset row
 of 24 576 is two blocks. Each block pays a fixed cost of about a hundred
@@ -57,14 +71,17 @@ block peaks at 2.7-3.0 times its 384 KiB histogram under tracemalloc, a
 tabled block at 0.75 times; at m = 64 a drawn block peaks at 12.2 MiB,
 2.0 times its 6 MiB histogram. More float temporaries of the
 histogram's size made glibc trim and regrow its heap on every block,
-tens of thousands of page faults per preset battery. A table build peaks once per estimate, at 0.16 MiB for n = 16,
-m = 4 and at 0.3-0.6 MiB for the largest tables (4096 values at m = 2,
-3876 at m = 5).
+tens of thousands of page faults per preset battery. A table build
+peaks once per estimate, at 0.1 MiB for n = 16, m = 4 and at 0.9-1.9
+MiB for the largest tables (16 384 values at m = 2, 16 215 at m = 4,
+n = 44); each keyed split table of n = 128 peaks at 0.7 MiB while it is
+built, and the two of m = 4 then hold 127 KiB of keys.
 
 Determinism contract: samples are organized into blocks of BLOCK_SIZE,
 the last one partial, and block b draws from a new generator on the
 counter-based Philox stream keyed by (seed, b), at counter 0. The
-control and the tables depend on the form and n only, and each half's
+control depends on the form and n only, the tables on those and the
+row's sample count (never on the block size), and each half's
 choice to use the control depends only on the other half's draws.
 Partial sums are reduced with exact float summation and the per-block
 variances are merged in block order, so results are bit-identical
@@ -85,6 +102,7 @@ from .exact import (
     CHUNK_ROWS,
     SIMPLEX_ROWS,
     HistogramForm,
+    _log_factorials,
     binomial_weights,
     input_form,
     message_form,
@@ -278,23 +296,70 @@ def _sorted_halves(x: np.ndarray) -> np.ndarray:
     return x
 
 
+def _split_keys(n: int, p: float) -> np.ndarray:
+    """The inverse-CDF table of one split for every parent count v = 0..n - 1:
+    the int64 keys v 2^53 + ceil(F_v(k) 2^53) for k < v, row v after row
+    v - 1 (so row v starts at v(v - 1) / 2), with F_v the Bin(v, p) CDF
+    divided by its row's sum. Rows of v 2^53 keep every row's keys below
+    the next row's queries, and n < 2^10 keeps every key, at most
+    n 2^53, below 2^63.
+
+    The pmf is exp(log v! - log k! - log (v - k)! + k log p + (v - k)
+    log(1 - p)) from the lgamma table, built in one pass over the (n, n)
+    grid of (v, k): a loop over ``binomial_weights`` cost 0.4-14 ms per
+    split. A p clipped to 1.0 (``_splits``) draws X = v surely, so
+    F_v(k) = 0 for every k < v; log(1 - p) has no value there.
+    """
+    k = np.arange(n)
+    d = k[:, None] - k  # v - k: rows v, columns k
+    if p == 1.0:
+        pmf = (d == 0).astype(float)
+    else:
+        log_fact = _log_factorials(n)[:n]
+        log_pmf = (log_fact[:, None] - log_fact - log_fact[np.maximum(d, 0)]
+                   + k * math.log(p) + d * math.log1p(-p))
+        log_pmf[d < 0] = -np.inf
+        pmf = np.exp(log_pmf)
+    cdf = np.cumsum(pmf, axis=1)
+    cdf /= cdf[:, -1:]
+    return (np.repeat(k, k) << 53) + np.ceil(cdf[d > 0] * 2.0**53).astype(np.int64)
+
+
+def _keyed_split(keys: np.ndarray, parent: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Bin(parent, p) draws from a split's ``_split_keys`` table, one uniform
+    u per draw: the number of row parent's keys at or below parent 2^53 +
+    u 2^53. ``rng.random`` returns multiples of 2^-53, so u 2^53 is an exact
+    integer and ceil(F 2^53) <= u 2^53 exactly when F <= u: this is
+    ``_inverse_cdf``'s side="right" rule, with no float error. The uniforms
+    stay unsorted: sorting them within a run of equal parents would pair
+    the children's draws (mean z +8.0 at n = 64)."""
+    query = (parent << 53) + (rng.random(len(parent)) * 2.0**53).astype(np.int64)
+    return np.searchsorted(keys, query, side="right") - parent * (parent - 1) // 2
+
+
 def _drawer(
-    form: HistogramForm, n: int
+    form: HistogramForm, n: int, samples: int
 ) -> Callable[[np.random.Generator, int], np.ndarray]:
     """The draw of a block of histograms h = X + e_J, J ~ tau and
-    X ~ Mult(n - 1, c), set up once per estimate. It returns a (symbols,
-    size) float block: every product with it would otherwise convert the
-    integer counts again.
+    X ~ Mult(n - 1, c), for a row of ``samples`` draws, set up once per
+    estimate. It returns a (symbols, size) float block: every product with
+    it would otherwise convert the integer counts again.
 
     X is drawn by binary splitting (Devroye 1986, ch. XI): the root split
     draws the first half's count Bin(n - 1, sum(c[:m // 2]) / sum(c)), by
     inverse CDF over the n-entry table of ``exact.binomial_weights`` when
     n <= SIMPLEX_ROWS and by ``rng.binomial`` above; each half of the block
     then sorts its root counts (``_sorted_halves``). Every later split,
-    breadth-first, draws ``rng.binomial(parent counts, p)``; for m <= 4
-    the parents arrive sorted, so numpy reuses its set-up for each run of
-    equal neighbours. Draw order is fixed: J's uniforms, the root, then
-    the splits.
+    breadth-first, draws its share of its parent's counts. When the later
+    splits' tables (``_split_keys``, n(n - 1) / 2 keys each) together hold
+    at most min(samples, CHUNK_ROWS) keys (n <= 128 at m = 4 for a preset
+    row, and never at n > 181), each draws from its table
+    (``_keyed_split``), at a cost that does not grow with the parent count;
+    otherwise each draws ``rng.binomial(parent counts, p)``, which below
+    parent * p = 30 inverts by walking about parent * p steps per draw;
+    for m <= 4 those parents arrive sorted, so numpy reuses its set-up for
+    each run of equal neighbours. Draw order is fixed: J's uniforms, the
+    root, then the splits.
     """
     c = form.cover / form.cover.sum()
     cum = np.cumsum(_proposal(form))[:-1]  # J is the count of these at or below its uniform
@@ -312,13 +377,22 @@ def _drawer(
         def root(rng: np.random.Generator, size: int) -> np.ndarray:
             return _sorted_halves(rng.binomial(n - 1, share, size))
 
+    keys = {}
+    if (len(splits) - 1) * n * (n - 1) // 2 <= min(samples, CHUNK_ROWS):
+        keys = {(lo, hi): _split_keys(n, p) for lo, _, hi, p in splits[1:]}
+
     def draw(rng: np.random.Generator, size: int) -> np.ndarray:
         u = rng.random(size)
         h = np.empty((m, size))
         counts = {(0, m): n - 1}  # the count of each symbol range not yet split
         for lo, mid, hi, p in splits:
             parent = counts.pop((lo, hi))
-            left = root(rng, size) if hi - lo == m else rng.binomial(parent, p)
+            if hi - lo == m:
+                left = root(rng, size)
+            elif keys:
+                left = _keyed_split(keys[lo, hi], parent, rng)
+            else:
+                left = rng.binomial(parent, p)
             for (a, b), x in (((lo, mid), left), ((mid, hi), parent - left)):
                 if b - a == 1:
                     h[a] = x
@@ -358,7 +432,7 @@ def _table(form: HistogramForm, n: int) -> tuple[np.ndarray, np.ndarray]:
     smallest float) is left out: it is never drawn, and with no target
     message its score would divide by lr(h) = 0."""
     c = form.cover / form.cover.sum()
-    # a table holds at most SIMPLEX_ROWS <= CHUNK_ROWS histograms: one chunk
+    # a table holds at most CHUNK_ROWS histograms (``_scorer``): one chunk
     [(h, weight)] = weighted_histograms(n, c)
     law = weight * ((_proposal(form) / (n * c)) @ h)
     reached = law > 0
@@ -377,20 +451,23 @@ def _inverse_cdf(cdf: np.ndarray, rng: np.random.Generator, size: int) -> np.nda
 
 
 def _scorer(
-    form: HistogramForm, n: int, control: np.ndarray
+    form: HistogramForm, n: int, control: np.ndarray, samples: int
 ) -> Callable[[np.random.Generator, int], tuple[np.ndarray, np.ndarray]]:
     """The scores and control values h'Ah of one block of draws, for one
-    form at population n, set up once per estimate.
+    form at population n and a row of ``samples`` draws, set up once per
+    estimate.
 
-    When the histogram's C(n + m - 1, m - 1) values are at most
-    SIMPLEX_ROWS, scoring every value once costs no more than scoring one
-    block, so each block is drawn by inverse CDF over the table and
-    gathers the table's scores and controls. Above SIMPLEX_ROWS values a
-    block is drawn by ``_drawer`` and scored as drawn.
+    Scoring a value of the histogram costs about what scoring a draw does,
+    so when its C(n + m - 1, m - 1) values are at most max(SIMPLEX_ROWS,
+    min(samples, CHUNK_ROWS)) (one enumeration chunk) the row scores every
+    value once, each block is drawn by inverse CDF over the table and
+    gathers the table's scores and controls. A row of at most 4096 samples
+    keeps the SIMPLEX_ROWS rule. Above that a block is drawn by
+    ``_drawer`` and scored as drawn.
     """
     m = len(form.cover)
-    if math.comb(n + m - 1, m - 1) > SIMPLEX_ROWS:
-        draw = _drawer(form, n)
+    if math.comb(n + m - 1, m - 1) > max(SIMPLEX_ROWS, min(samples, CHUNK_ROWS)):
+        draw = _drawer(form, n, samples)
 
         def drawn(rng: np.random.Generator, size: int) -> tuple[np.ndarray, np.ndarray]:
             h = draw(rng, size)
@@ -433,7 +510,7 @@ def _sample(form: HistogramForm, n: int, samples: int, seed: int) -> EstimatorRe
         raise InvalidParameterError("seed must be in [0, 2^64)")
     if not form.target.any():  # every target message is hidden
         return EstimatorResult(form.constant, 0.0, samples, seed)
-    block = _scorer(form, n, _control(form, n))
+    block = _scorer(form, n, _control(form, n), samples)
     part = _estimate(lambda rng, size: _block_scores(*block(rng, size)), samples, seed)
     return EstimatorResult(part.estimate + form.constant, part.stderr, samples, seed)
 

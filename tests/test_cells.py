@@ -118,7 +118,7 @@ class TestExplicitMethods:
 
     @pytest.mark.parametrize("cfg,diagnostic", [
         (ExperimentConfig(quantity="IY1", p=make_zipf(4, 0.7), n_grid=(4,), method="asymp"),
-         "method: no asymp method for shuffle_only IY1"),
+         "method: must be 'all' or a '+'-joined subset of ('exact', 'mc', 'asym', 'bounds')"),
         (ExperimentConfig(mode="shuffle_dp", quantity="IY1", mechanism=make_krr(3, 1.0),
                           n_grid=(4,), method="mc"),
          "method: no mc method for shuffle_dp IY1"),
@@ -133,13 +133,19 @@ class TestExplicitMethods:
          "n_grid: must be a nonempty list of positive integers; label: must be a string"),
         (replace(PLANS_MC, quantity="IQ"), "quantity: must be one of ('IK', 'IY1', 'IX1')"),
         (replace(PLANS_MC, mode="foo"), "mode: must be one of ('shuffle_only', 'shuffle_dp')"),
+        (replace(PLANS_MC, samples=300.0), "samples: must be an integer of at least 2"),
+        (replace(PLANS_MC, seed=1.5), "seed: must be an integer in [0, 2^64)"),
+        (replace(PLANS_MC, method=None),
+         "method: must be 'all' or a '+'-joined subset of ('exact', 'mc', 'asym', 'bounds')"),
     ], ids=["unknown-method", "unplanned-method", "no-mechanism", "zero", "negative", "bool",
-            "empty", "float", "no-label", "grid-and-label", "quantity", "mode"])
+            "empty", "float", "no-label", "grid-and-label", "quantity", "mode", "float-samples",
+            "float-seed", "no-method"])
     def test_a_config_built_in_python_is_validated(self, monkeypatch, cfg, diagnostic):
         # the CLI refuses these with a diagnostic; run_configs used to return
         # no rows for the first two and raise AttributeError on the third, print
         # a row at n = 0, -3 or True, print no row for an empty grid or an
-        # unknown quantity, and raise TypeError for n = 4.0 or a label of None
+        # unknown quantity, raise TypeError for n = 4.0, a label of None,
+        # 300.0 samples or seed 1.5, and AttributeError for a method of None
         ran = []
         monkeypatch.setattr(runner, "compute_row", lambda *task: ran.append(task))
         valid = ExperimentConfig(quantity="IY1", p=make_zipf(4, 0.7), n_grid=(4,))

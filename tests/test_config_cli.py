@@ -22,7 +22,7 @@ from shuffleleak.config import (
     validate_config,
 )
 from shuffleleak import montecarlo, runner
-from shuffleleak.errors import InvalidParameterError
+from shuffleleak.errors import InvalidInputError, InvalidParameterError
 from shuffleleak.runner import (
     PRESET_SAMPLES,
     ResultRow,
@@ -499,7 +499,7 @@ class TestRunner:
             ExperimentConfig(quantity="IY1", p=make_zipf(3, 0.7), q=make_uniform(3),
                              n_grid=(4,), samples=100, seed=seed, method="mc"),
         ]
-        with pytest.raises(InvalidParameterError, match=r"seed must be in \[0, 2\^64\)"):
+        with pytest.raises(InvalidInputError, match=r"seed: must be an integer in \[0, 2\^64\)"):
             run_configs(configs)
         assert ran == []
 
@@ -748,7 +748,7 @@ class TestCli:
     def test_one_sample_row_built_in_python_raises(self):
         cfg = ExperimentConfig(quantity="IY1", p=make_zipf(3, 0.7), q=make_uniform(3),
                                n_grid=(4,), samples=1, method="asym+mc")
-        with pytest.raises(InvalidParameterError, match="samples must be at least 2"):
+        with pytest.raises(InvalidInputError, match="samples: must be an integer of at least 2"):
             run_configs([cfg])
 
     def test_blanket_bound_outside_the_blanket_support(self, tmp_path):

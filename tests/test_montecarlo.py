@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.stats import chisquare, multinomial
+from scipy.stats import binom, chisquare, multinomial
 
 from shuffleleak import (
     Categorical,
@@ -39,14 +39,16 @@ from shuffleleak.montecarlo import (
     _drawer,
     _estimate,
     _inverse_cdf,
+    _keyed_split,
     _proposal,
     _quadratic,
     _score,
     _scorer,
+    _split_keys,
     _splits,
     _table,
 )
-from shuffleleak.runner import cells, preset_configs
+from shuffleleak.runner import PRESET_SAMPLES, cells, preset_configs
 
 ZIPF = make_zipf(4, 0.7)
 U4 = make_uniform(4)
@@ -70,13 +72,13 @@ def no_control(form):
 def row_estimate(form, n, control, samples, seed):
     """The estimator's controlled estimate of the form's mean part, through
     the row's own draw."""
-    block = _scorer(form, n, control)
+    block = _scorer(form, n, control, samples)
     return _estimate(lambda rng, size: _block_scores(*block(rng, size)), samples, seed)
 
 
 def plain_block(form, n, seed, size=BLOCK_SIZE):
-    """The plain scores of block 0 of a row at ``seed``."""
-    return _block_scores(*_scorer(form, n, no_control(form))(block_rng(seed, 0), size))
+    """The plain scores of block 0 of a row of ``size`` samples at ``seed``."""
+    return _block_scores(*_scorer(form, n, no_control(form), size)(block_rng(seed, 0), size))
 
 
 def table_draw(form, n, seed, block, size):
@@ -122,7 +124,8 @@ class TestDeterminism:
         # with nothing buffered, so its draws are a new generator's on that
         # key; the last block is partial
         form = message_form(ZIPF, U4, n)
-        block = _scorer(form, n, _control(form, n))
+        samples = 5 * BLOCK_SIZE + 3
+        block = _scorer(form, n, _control(form, n), samples)
         seen = []
 
         def stat(rng, size):
@@ -134,7 +137,6 @@ class TestDeterminism:
             assert np.array_equal(scores, reference)
             return scores
 
-        samples = 5 * BLOCK_SIZE + 3
         got = _estimate(stat, samples, seed)
         sizes = [BLOCK_SIZE] * 5 + [3]
         assert seen == [([b, seed], [0] * 4, 4, 0, size) for b, size in enumerate(sizes)]
@@ -420,7 +422,8 @@ class TestControlVariate:
             plain = row_estimate(form, 16, no_control(form), 100_000, 0)
             assert controlled.stderr <= plain.stderr, cfg.label
 
-    @pytest.mark.parametrize("n", [4, 16, 32])  # n = 32 is past the table's 4096 states
+    # n = 32 has 6545 histograms: past SIMPLEX_ROWS, tabled for a block of draws
+    @pytest.mark.parametrize("n", [4, 16, 32])
     def test_z_scores_against_exact(self, n):
         # unbiased, and the plug-in stderr of the controlled scores is calibrated
         for cfg, form, truth in preset_rows(n):
@@ -471,7 +474,7 @@ class TestControlVariate:
         # there would no longer be 0
         form = message_form(ZIPF, U4, 16)
         control = _control(form, 16)
-        h = _drawer(form, 16)(block_rng(5, 0), 1000)
+        h = _drawer(form, 16, 1000)(block_rng(5, 0), 1000)
         score, ctl = _score(form, 16, h), _quadratic(control, h)
         seen = []
 
@@ -493,7 +496,7 @@ class TestControlVariate:
         q = Categorical((1, 2, 3), (0.3, 0.65, 0.05))
         form = message_form(p, q, n)
         control = _control(form, n)
-        h = _drawer(form, n)(block_rng(0, 0), BLOCK_SIZE)
+        h = _drawer(form, n, BLOCK_SIZE)(block_rng(0, 0), BLOCK_SIZE)
         score = _score(form, n, h)
         assert np.var(score - _quadratic(control, h)) > 1.5 * np.var(score)
         block = _block_scores(score.copy(), _quadratic(control, h))
@@ -574,25 +577,28 @@ class TestTableDraw:
             assert (abs(z) < 5).all(), z
 
     def test_table_up_to_one_block_of_states(self, monkeypatch):
-        # two symbols: n = 4095 has 4096 histograms, n = 4096 one more
+        # a row tables at most max(SIMPLEX_ROWS, min(samples, CHUNK_ROWS))
+        # histograms: at two symbols n - 1 has that many, n one more
         built = []
         table = montecarlo._table
         monkeypatch.setattr(montecarlo, "_table", lambda form, n: built.append(n) or table(form, n))
-        for n in (4095, 4096):
-            form = message_form(M2_P, M2_Q, n)
-            _scorer(form, n, _control(form, n))
-        assert built == [4095]
-        # above the table a row draws by _drawer
-        form = message_form(M2_P, M2_Q, 4096)
-        control, draw = _control(form, 4096), _drawer(form, 4096)
+        for samples, bound in ((4000, SIMPLEX_ROWS), (BLOCK_SIZE, BLOCK_SIZE), (10**5, CHUNK_ROWS)):
+            built.clear()
+            for n in (bound - 1, bound):
+                form = message_form(M2_P, M2_Q, n)
+                _scorer(form, n, _control(form, n), samples)
+            assert built == [bound - 1]
+            # above the table a row draws by _drawer
+            form = message_form(M2_P, M2_Q, bound)
+            control, draw = _control(form, bound), _drawer(form, bound, samples)
 
-        def drawn(rng, size):
-            h = draw(rng, size)
-            return _block_scores(_score(form, 4096, h), _quadratic(control, h))
+            def drawn(rng, size):
+                h = draw(rng, size)
+                return _block_scores(_score(form, bound, h), _quadratic(control, h))
 
-        plain = _estimate(drawn, 5000, 3)
-        r = estimate_message_mi(M2_P, M2_Q, 4096, samples=5000, seed=3)
-        assert (r.estimate, r.stderr) == (plain.estimate + form.constant, plain.stderr)
+            plain = _estimate(drawn, samples, 3)
+            r = estimate_message_mi(M2_P, M2_Q, bound, samples=samples, seed=3)
+            assert (r.estimate, r.stderr) == (plain.estimate + form.constant, plain.stderr)
 
     @pytest.mark.parametrize("n", [4095, 4096])
     def test_z_scores_at_the_boundary(self, n):
@@ -627,7 +633,7 @@ class TestTableDraw:
 def split_draws(form, n, seed, samples):
     """``samples`` histograms drawn by ``_drawer``, block by block, as a row
     at ``seed`` draws them."""
-    draw = _drawer(form, n)
+    draw = _drawer(form, n, samples)
     return np.concatenate(
         [draw(block_rng(seed, b), size) for b, size in enumerate(block_sizes(samples))], axis=1
     )
@@ -692,7 +698,7 @@ class TestSplitDraw:
         p = Categorical((1, 2, 3, 4), (0, 0, 0, 1))
         form = position_form(p, ZIPF, n)
         size, half = 1001, 500
-        h = _drawer(form, n)(block_rng(3, 0), size)
+        h = _drawer(form, n, size)(block_rng(3, 0), size)
         root = h[:2].sum(axis=0)
         # the root's draws come after J's uniforms, and each half's counts
         # are its own draws, sorted
@@ -710,6 +716,89 @@ class TestSplitDraw:
             first, second = np.sort(x[:half]), np.sort(x[half:])
         assert np.array_equal(root, np.concatenate([first, second]))
         assert (np.diff(root[:half]) >= 0).all() and (np.diff(root[half:]) >= 0).all()
+
+
+class TestKeyedSplit:
+    N = 127  # the largest parent of a split at n = 128
+
+    @pytest.mark.parametrize("p", [1e-9, 0.3, 0.5, 0.77, 1 - 1e-9])
+    def test_cdf_rows_match_the_binomial_weights(self, p):
+        keys = _split_keys(self.N + 1, p)
+        assert len(keys) == (self.N + 1) * self.N // 2 and (np.diff(keys) >= 0).all()
+        for v in range(self.N + 1):
+            row = keys[v * (v - 1) // 2 : v * (v + 1) // 2] - (v << 53)
+            cdf = np.cumsum(binomial_weights(v, p))
+            cdf /= cdf[-1]
+            assert np.abs(row / 2.0**53 - cdf[:-1]).max(initial=0.0) <= 1e-12, v
+
+    def test_a_split_clipped_to_one_draws_the_parent(self):
+        keys = _split_keys(self.N + 1, 1.0)
+        parent = np.arange(self.N + 1).repeat(40)
+        assert np.array_equal(_keyed_split(keys, parent, block_rng(0, 0)), parent)
+        # the last symbol's share of its range rounds to 0, so that split's p
+        # is 1.0 and the symbol never takes a cover
+        q = Categorical((1, 2, 3, 4), (0.3, 0.2, 0.5, 1e-300))
+        form = message_form(ZIPF, q, 64)
+        assert _splits(form.cover / form.cover.sum())[2][3] == 1.0
+        h = _drawer(form, 64, PRESET_SAMPLES)(block_rng(0, 0), BLOCK_SIZE)
+        assert (h.sum(axis=0) == 64).all() and (h[3] <= 1).all()
+
+    @pytest.mark.parametrize("p", [0.3, 0.77])
+    def test_draws_pass_chi_square(self, p):
+        draws = 10**5
+        keys = _split_keys(self.N + 1, p)
+        for v in (0, 1, self.N // 2, self.N):
+            x = _keyed_split(keys, np.full(draws, v), block_rng(v, 0))
+            seen = np.bincount(x, minlength=v + 1)
+            assert len(seen) == v + 1 and x.min() >= 0  # every draw is a count of 0..v
+            if v == 0:
+                continue
+            expected = binom.pmf(np.arange(v + 1), v, p) * draws
+            # cells expected fewer than 5 times are pooled into one
+            thin = expected < 5
+            pooled, expected_pooled = seen[~thin], expected[~thin]
+            if thin.any():
+                pooled = np.append(pooled, seen[thin].sum())
+                expected_pooled = np.append(expected_pooled, expected[thin].sum())
+            expected_pooled *= draws / expected_pooled.sum()
+            assert chisquare(pooled, expected_pooled).pvalue > 1e-3, v
+
+    def test_z_sweep_against_the_exact_oracles(self, monkeypatch):
+        # a preset row's samples reach the wider table (n = 32 at m = 4 and
+        # n = 128 at m = 3), the keyed splits (n = 64 and 128 at m = 4, n = 32
+        # and 64 at m = 5) and rng.binomial (n = 128 at m = 5)
+        monkeypatch.setattr(exact, "MAX_STATES", 10**9)  # m = 5 at n = 128
+        keyed = []
+        keys = montecarlo._split_keys
+        monkeypatch.setattr(montecarlo, "_split_keys",
+                            lambda n, p: keyed.append(n) or keys(n, p))
+        z = []
+        for m in (3, 4, 5):
+            p, q, r = make_zipf(m, 0.7), make_uniform(m), make_krr(m, 1.0)
+            for n in (32, 64, 128):
+                for estimate, truth in (
+                    (lambda s: estimate_position_mi(p, q, n, PRESET_SAMPLES, s),
+                     position_mi_exact(p, q, n)),
+                    (lambda s: estimate_message_mi(p, q, n, PRESET_SAMPLES, s),
+                     message_mi_exact(p, q, n)),
+                    (lambda s: estimate_input_mi(r, q, n, PRESET_SAMPLES, s),
+                     input_mi_iid_others(r, q, n)),
+                ):
+                    z += [(est.estimate - truth) / est.stderr for est in map(estimate, range(4))]
+        assert set(keyed) == {32, 64, 128}
+        assert abs(np.mean(z)) < 0.5 and 0.6 < np.std(z, ddof=1) < 1.5, z
+
+    def test_a_short_row_at_large_n_builds_no_new_table(self, monkeypatch):
+        # every many_cells row: at most 4096 samples at n = 4096 or 16384
+        def refuse(*args):
+            raise AssertionError(f"called with {args}")
+
+        monkeypatch.setattr(montecarlo, "_split_keys", refuse)
+        monkeypatch.setattr(montecarlo, "_table", refuse)
+        for m in (2, 3, 4, 5):
+            for n in (4096, 16384):
+                for samples in (2, 4096):
+                    estimate_message_mi(make_zipf(m, 0.7), make_uniform(m), n, samples, seed=1)
 
 
 class TestStableVariance:
@@ -743,7 +832,7 @@ class TestBlockMemory:
         # At m = 64 the histogram is 6 MiB, and those two alone come on top.
         histogram = len(form.cover) * BLOCK_SIZE * 8  # the block's float64 histogram
         for control in (no_control(form), _control(form, 1024)):
-            block = _scorer(form, 1024, control)
+            block = _scorer(form, 1024, control, BLOCK_SIZE)
             _block_scores(*block(block_rng(0, 0), BLOCK_SIZE))  # first-call set-up is not counted
             tracemalloc.start()
             try:
@@ -779,11 +868,11 @@ class TestBlockMemory:
         large = message_form(M2_P, M2_Q, 4095)
         large_control = _control(large, 4095)
         small = message_form(ZIPF, U4, 16)
-        block = _scorer(small, 16, _control(small, 16))
-        _scorer(large, 4095, large_control)  # first-call set-up is not counted
+        block = _scorer(small, 16, _control(small, 16), BLOCK_SIZE)
+        _scorer(large, 4095, large_control, BLOCK_SIZE)  # first-call set-up is not counted
         _block_scores(*block(block_rng(0, 0), BLOCK_SIZE))
         for run, rows in (
-            (lambda: _scorer(large, 4095, large_control), SIMPLEX_ROWS),
+            (lambda: _scorer(large, 4095, large_control, BLOCK_SIZE), SIMPLEX_ROWS),
             (lambda: _block_scores(*block(block_rng(0, 1), BLOCK_SIZE)), BLOCK_SIZE),
         ):
             tracemalloc.start()
