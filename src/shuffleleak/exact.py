@@ -71,6 +71,7 @@ at that n (2.9 ms with the library's pmf).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, lgamma
@@ -107,6 +108,17 @@ def check_states(states: int) -> None:
     read at call time. A state is one histogram, grid cell or pmf term."""
     if states > MAX_STATES:
         raise ceiling_error(states)
+
+
+def _integer(name: str, value, low: int) -> int:
+    """``value`` as a Python int of at least ``low``, which no shift or
+    product wraps as a numpy integer would. Anything else, a bool or a
+    float included, raises InvalidParameterError naming ``name``."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
+    if operator.index(value) < low:
+        raise InvalidParameterError(f"{name} must be at least {low}")
+    return operator.index(value)
 
 
 def states_shuffle_only(p: Categorical, q: Categorical, n: int) -> int:
@@ -271,8 +283,7 @@ def _histogram_value(n: int, form: HistogramForm) -> float:
 
 def _visible_split(p: Categorical, q: Categorical, n: int) -> tuple[np.ndarray, ...]:
     """Shared set-up of the two-distribution forms: (target, cover, hidden p)."""
-    if n < 1:
-        raise InvalidParameterError("n must be at least 1")
+    _integer("n", n, 1)
     _, pv, qv = align(p, q)
     vis = qv > 0
     # q is not renormalized on its support, so w = p / q is exactly 1 when p = q
@@ -346,8 +357,7 @@ def input_form(r: Randomizer, prior: Categorical, n: int) -> HistogramForm:
     """Input leakage with i.i.d. inputs as a histogram form: the target's
     input is a signal sent through the randomizer's kernel. The target's
     output follows the output marginal too, so ``target`` is the cover."""
-    if n < 1:
-        raise InvalidParameterError("n must be at least 1")
+    _integer("n", n, 1)
     prior_vec = _prior_vector(prior, r.input_labels)
     marginal = prior_vec @ r.kernel
     seen = marginal > 0
@@ -366,6 +376,7 @@ def position_mi_exact(p: Categorical, q: Categorical, n: int) -> float:
     impossible under the cover distribution pins the posterior to a single
     position and contributes log n.
     """
+    n = _integer("n", n, 1)
     check_states(states_shuffle_only(p, q, n))
     return _histogram_value(n, position_form(p, q, n))
 
@@ -379,6 +390,7 @@ def message_mi_exact(p: Categorical, q: Categorical, n: int) -> float:
     whether or not the target distribution is absolutely continuous
     w.r.t. the cover.
     """
+    n = _integer("n", n, 1)
     check_states(states_shuffle_only(p, q, n))
     return _histogram_value(n, message_form(p, q, n))
 
@@ -438,8 +450,7 @@ def message_minus_position_mi(p: Categorical, q: Categorical, n: int) -> float:
     message leakage (chain-rule decomposition of the channel). Requires
     the target distribution absolutely continuous w.r.t. the cover.
     """
-    if n < 1:
-        raise InvalidParameterError("n must be at least 1")
+    n = _integer("n", n, 1)
     check_states(states_binomial(p, n))
     labels, pv, qv = align(p, q)
     if np.any((pv > 0) & (qv == 0)):
@@ -531,6 +542,7 @@ def input_mi_iid_others(r: Randomizer, prior: Categorical, n: int) -> float:
     likelihood ratio against the unconditional law. This is the quantity
     the Monte Carlo input estimator converges to.
     """
+    n = _integer("n", n, 1)
     check_states(states_input_mi(n, len(r.output_labels)))
     return _histogram_value(n, input_form(r, prior, n))
 

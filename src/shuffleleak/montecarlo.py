@@ -11,37 +11,33 @@ sample's score sum(target) statistic(h) / lr(h) averages to the form's
 mean. The score is the divergence of the exact posterior from the prior,
 so the only error is statistical; the hidden part is added exactly.
 
-Where h takes at most max(SIMPLEX_ROWS, min(samples, CHUNK_ROWS))
-values, C(n + m - 1, m - 1) for m visible symbols (every row of n <= 8
-at m <= 5 and n = 16 at m = 4, and for a preset row of 24 576 samples
-n <= 44 at m = 4), the same law is drawn from a table instead
-(``_scorer``): the exact oracles' enumeration, in one chunk, gives every
-h with its multinomial weight (a simplex of at most SIMPLEX_ROWS comes
-from ``exact``'s cache), and every h is scored and controlled, once per
-estimate; each block then draws table entries by inverse CDF and
-gathers their scores. Scoring a value of the table costs about what
-scoring a draw does, so a row tables at most as many values as it
-draws, past SIMPLEX_ROWS; a row of at most 4096 samples keeps the
-SIMPLEX_ROWS rule. Above the table a row draws J and the covers as
-above, the covers by binary splitting (``_drawer``): the first half of
-the symbols takes a Bin(n - 1, c_left) share of the counts, drawn by
-inverse CDF over a table of its n probabilities when n <= SIMPLEX_ROWS
-and by ``rng.binomial`` above, and each range of symbols is halved
-again, breadth-first, on its parent's counts: by one search of a per-row
-table of every parent count's binomial CDF (``_split_keys``) when those
-tables together hold at most min(samples, CHUNK_ROWS) keys (n <= 128 at
-m = 4 for a preset row), and by ``rng.binomial`` otherwise.
+Every table a row draws from holds at most one budget of
+max(SIMPLEX_ROWS, min(samples, CHUNK_ROWS)) entries (``_budget``): an
+entry costs about what a draw does to build, so past SIMPLEX_ROWS a row
+tables at most as many entries as it draws. Where h takes at most that
+many values, C(n + m - 1, m - 1) for m visible symbols (n <= 44 at
+m = 4 for a preset row of 24 576 samples), ``_scorer`` draws from a
+table of every h, from the exact oracles' enumeration in one chunk,
+each scored and controlled once per estimate. Above that ``_drawer``
+draws J and the covers as above, the covers by binary splitting: the
+first half of the symbols takes a Bin(n - 1, c_left) share of the
+counts, and each range of symbols is halved again, breadth-first, on
+its parent's counts. The root draws from a table of its n probabilities
+when n fits the budget, the later splits from per-row tables of every
+parent count's CDF (``_split_keys``) when those together fit it
+(n <= 128 at m = 4 for a preset row), and each by ``rng.binomial``
+otherwise. Every table holds the int64 keys ceil(F 2^53) of its CDF F
+and is searched one way (``_search``): the inverse transform of Devroye
+(1986, ch. III).
 
 On a 2-vCPU host one block of 12 288 samples at m = 4 (message form:
 draw, score and control) costs 0.35-0.55 ms from the table at
 n = 16-44, after 0.5-3.2 ms to build it; 1.9-2.4 ms drawn with keyed
 splits at n = 64-128, after 0.4-0.9 ms to build their tables; and
 2.7-3.5 ms drawn with ``rng.binomial`` splits at n = 256-1024. The two
-child splits of a block take 0.8-1.1 ms keyed at n = 32-128, against
-1.5-3.3 ms by ``rng.binomial`` on the same root counts (Zipf(4, 1.1) and
-uniform covers): numpy's inversion walks about parent * p steps per draw
-(Kachitvichyanukul & Schmeiser 1988), while a table search costs the
-same at any parent * p (Devroye 1986, ch. III).
+child splits take 0.8-1.1 ms keyed at n = 32-128 against 1.5-3.3 ms by
+``rng.binomial``, whose inversion walks about parent * p steps per draw
+(Kachitvichyanukul & Schmeiser 1988); a search costs the same at any p.
 
 A block holds BLOCK_SIZE = 12 288 = 3 * 4096 samples, so a preset row
 of 24 576 is two blocks. Each block pays a fixed cost of about a hundred
@@ -102,6 +98,7 @@ from .exact import (
     CHUNK_ROWS,
     SIMPLEX_ROWS,
     HistogramForm,
+    _integer,
     _log_factorials,
     binomial_weights,
     input_form,
@@ -296,13 +293,33 @@ def _sorted_halves(x: np.ndarray) -> np.ndarray:
     return x
 
 
+def _budget(samples: int) -> int:
+    """The most entries any table of a row of ``samples`` draws may hold."""
+    return max(SIMPLEX_ROWS, min(samples, CHUNK_ROWS))
+
+
+def _keys(cdf: np.ndarray) -> np.ndarray:
+    """The int64 search keys ceil(F 2^53) of the CDF entries F in [0, 1]."""
+    return np.ceil(cdf * 2.0**53).astype(np.int64)
+
+
+def _search(keys: np.ndarray, u: np.ndarray, parent: np.ndarray | int = 0) -> np.ndarray:
+    """The draws of uniforms ``u`` from a table of ``_keys``: how many
+    entries F <= u its CDF row ``parent`` holds (row 0 of a one-row
+    table; ``_split_keys`` lays out the others). ``rng.random`` returns
+    multiples of 2^-53, so ceil(F 2^53) <= u 2^53 exactly when F <= u:
+    this is ``np.searchsorted(cdf, u, side="right")`` with no float error."""
+    query = (u * 2.0**53).astype(np.int64)
+    query += parent << 53
+    return np.searchsorted(keys, query, side="right") - parent * (parent - 1) // 2
+
+
 def _split_keys(n: int, p: float) -> np.ndarray:
-    """The inverse-CDF table of one split for every parent count v = 0..n - 1:
-    the int64 keys v 2^53 + ceil(F_v(k) 2^53) for k < v, row v after row
-    v - 1 (so row v starts at v(v - 1) / 2), with F_v the Bin(v, p) CDF
-    divided by its row's sum. Rows of v 2^53 keep every row's keys below
-    the next row's queries, and n < 2^10 keeps every key, at most
-    n 2^53, below 2^63.
+    """The table of one split for every parent count v = 0..n - 1: the
+    keys v 2^53 + ``_keys(F_v(k))`` for k < v, row v from v(v - 1) / 2
+    on, with F_v the Bin(v, p) CDF divided by its row's sum. Rows of
+    v 2^53 keep every row's keys below the next row's queries, and
+    n < 2^10 keeps every key, at most n 2^53, below 2^63.
 
     The pmf is exp(log v! - log k! - log (v - k)! + k log p + (v - k)
     log(1 - p)) from the lgamma table, built in one pass over the (n, n)
@@ -322,19 +339,7 @@ def _split_keys(n: int, p: float) -> np.ndarray:
         pmf = np.exp(log_pmf)
     cdf = np.cumsum(pmf, axis=1)
     cdf /= cdf[:, -1:]
-    return (np.repeat(k, k) << 53) + np.ceil(cdf[d > 0] * 2.0**53).astype(np.int64)
-
-
-def _keyed_split(keys: np.ndarray, parent: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Bin(parent, p) draws from a split's ``_split_keys`` table, one uniform
-    u per draw: the number of row parent's keys at or below parent 2^53 +
-    u 2^53. ``rng.random`` returns multiples of 2^-53, so u 2^53 is an exact
-    integer and ceil(F 2^53) <= u 2^53 exactly when F <= u: this is
-    ``_inverse_cdf``'s side="right" rule, with no float error. The uniforms
-    stay unsorted: sorting them within a run of equal parents would pair
-    the children's draws (mean z +8.0 at n = 64)."""
-    query = (parent << 53) + (rng.random(len(parent)) * 2.0**53).astype(np.int64)
-    return np.searchsorted(keys, query, side="right") - parent * (parent - 1) // 2
+    return (np.repeat(k, k) << 53) + _keys(cdf[d > 0])
 
 
 def _drawer(
@@ -346,40 +351,32 @@ def _drawer(
     it would otherwise convert the integer counts again.
 
     X is drawn by binary splitting (Devroye 1986, ch. XI): the root split
-    draws the first half's count Bin(n - 1, sum(c[:m // 2]) / sum(c)), by
-    inverse CDF over the n-entry table of ``exact.binomial_weights`` when
-    n <= SIMPLEX_ROWS and by ``rng.binomial`` above; each half of the block
-    then sorts its root counts (``_sorted_halves``). Every later split,
-    breadth-first, draws its share of its parent's counts. When the later
-    splits' tables (``_split_keys``, n(n - 1) / 2 keys each) together hold
-    at most min(samples, CHUNK_ROWS) keys (n <= 128 at m = 4 for a preset
-    row, and never at n > 181), each draws from its table
-    (``_keyed_split``), at a cost that does not grow with the parent count;
-    otherwise each draws ``rng.binomial(parent counts, p)``, which below
-    parent * p = 30 inverts by walking about parent * p steps per draw;
-    for m <= 4 those parents arrive sorted, so numpy reuses its set-up for
-    each run of equal neighbours. Draw order is fixed: J's uniforms, the
+    draws the first half's count Bin(n - 1, sum(c[:m // 2]) / sum(c)) for
+    the whole block, each half of it sorted (``_sorted_halves``), and every
+    later split, breadth-first, draws its share of its parent's counts.
+    Within the row's ``_budget`` the root searches the n keys of
+    ``exact.binomial_weights``'s CDF, and the later splits, when their
+    tables (``_split_keys``, n(n - 1) / 2 keys each) fit it together
+    (n <= 128 at m = 4 for a preset row, never at n > 181), search those,
+    at a cost that does not grow with the parent count. Otherwise each
+    draws by ``rng.binomial``, which below parent * p = 30 inverts by
+    walking about parent * p steps per draw, reusing its set-up over a run
+    of equal parents (sorted ones at m <= 4). A child's uniforms are never
+    sorted: within a run of equal parents that would pair the children's
+    draws (mean z +8.0 at n = 64). Draw order is fixed: J's uniforms, the
     root, then the splits.
     """
     c = form.cover / form.cover.sum()
     cum = np.cumsum(_proposal(form))[:-1]  # J is the count of these at or below its uniform
     m = len(c)
     splits = _splits(c)
-    share = splits[0][3]  # of the root split
-    if n <= SIMPLEX_ROWS:
-        cdf = np.cumsum(binomial_weights(n - 1, share))
-        cdf /= cdf[-1]
-
-        def root(rng: np.random.Generator, size: int) -> np.ndarray:
-            return _inverse_cdf(cdf, rng, size)
-    else:
-
-        def root(rng: np.random.Generator, size: int) -> np.ndarray:
-            return _sorted_halves(rng.binomial(n - 1, share, size))
-
+    budget = _budget(samples)
     keys = {}
-    if (len(splits) - 1) * n * (n - 1) // 2 <= min(samples, CHUNK_ROWS):
-        keys = {(lo, hi): _split_keys(n, p) for lo, _, hi, p in splits[1:]}
+    if n <= budget:
+        cdf = np.cumsum(binomial_weights(n - 1, splits[0][3]))
+        keys[0, m] = _keys(cdf / cdf[-1])
+    if (len(splits) - 1) * n * (n - 1) // 2 <= budget:
+        keys.update({(lo, hi): _split_keys(n, p) for lo, _, hi, p in splits[1:]})
 
     def draw(rng: np.random.Generator, size: int) -> np.ndarray:
         u = rng.random(size)
@@ -387,12 +384,14 @@ def _drawer(
         counts = {(0, m): n - 1}  # the count of each symbol range not yet split
         for lo, mid, hi, p in splits:
             parent = counts.pop((lo, hi))
-            if hi - lo == m:
-                left = root(rng, size)
-            elif keys:
-                left = _keyed_split(keys[lo, hi], parent, rng)
-            else:
+            table = keys.get((lo, hi))
+            if hi - lo == m:  # the root: one parent, n - 1, for the whole block
+                left = (_sorted_halves(rng.binomial(parent, p, size)) if table is None
+                        else _search(table, _sorted_halves(rng.random(size))))
+            elif table is None:
                 left = rng.binomial(parent, p)
+            else:
+                left = _search(table, rng.random(len(parent)), parent)
             for (a, b), x in (((lo, mid), left), ((mid, hi), parent - left)):
                 if b - a == 1:
                     h[a] = x
@@ -426,28 +425,20 @@ def _lowers_spread(scores: np.ndarray, ctl: np.ndarray) -> bool:
 def _table(form: HistogramForm, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Every histogram of n messages that the draw can reach, as a
     (symbols, states) float table in the exact oracles' order, and the
-    cumulative law of the draw over it: Mult(h; n, c) lr(h) / sum(target)
-    with c the normalised cover, which is sum_j tau_j Mult(h - e_j; n - 1, c).
-    A histogram of law 0 (no target message, or a weight below the
-    smallest float) is left out: it is never drawn, and with no target
-    message its score would divide by lr(h) = 0."""
+    ``_keys`` of the draw's CDF over it: the law is Mult(h; n, c) lr(h) /
+    sum(target) with c the normalised cover, which is
+    sum_j tau_j Mult(h - e_j; n - 1, c). A histogram of law 0 (no target
+    message, or a weight below the smallest float) is left out: it is
+    never drawn, and with no target message its score would divide by
+    lr(h) = 0."""
     c = form.cover / form.cover.sum()
-    # a table holds at most CHUNK_ROWS histograms (``_scorer``): one chunk
+    # a table holds at most CHUNK_ROWS histograms (``_budget``): one chunk
     [(h, weight)] = weighted_histograms(n, c)
     law = weight * ((_proposal(form) / (n * c)) @ h)
     reached = law > 0
     cdf = np.cumsum(law[reached])
     cdf /= cdf[-1]
-    return h[:, reached].astype(float), cdf
-
-
-def _inverse_cdf(cdf: np.ndarray, rng: np.random.Generator, size: int) -> np.ndarray:
-    """Indices of ``size`` draws from the law whose cumulative sums are
-    ``cdf``: one uniform per draw, searched in the cdf. The uniforms are
-    sorted within each half of the block (``_sorted_halves``) first, so
-    the indices are too; a sorted search costs a third of an unsorted
-    one."""
-    return np.searchsorted(cdf, _sorted_halves(rng.random(size)), side="right")
+    return h[:, reached].astype(float), _keys(cdf)
 
 
 def _scorer(
@@ -455,18 +446,14 @@ def _scorer(
 ) -> Callable[[np.random.Generator, int], tuple[np.ndarray, np.ndarray]]:
     """The scores and control values h'Ah of one block of draws, for one
     form at population n and a row of ``samples`` draws, set up once per
-    estimate.
-
-    Scoring a value of the histogram costs about what scoring a draw does,
-    so when its C(n + m - 1, m - 1) values are at most max(SIMPLEX_ROWS,
-    min(samples, CHUNK_ROWS)) (one enumeration chunk) the row scores every
-    value once, each block is drawn by inverse CDF over the table and
-    gathers the table's scores and controls. A row of at most 4096 samples
-    keeps the SIMPLEX_ROWS rule. Above that a block is drawn by
-    ``_drawer`` and scored as drawn.
-    """
+    estimate. When the histogram's C(n + m - 1, m - 1) values fit the
+    row's ``_budget``, every value is scored once and each block draws
+    from the table (``_table``), its uniforms sorted within each half
+    (``_sorted_halves``; a sorted search costs a third of an unsorted
+    one), and gathers the table's scores and controls. Above that a block
+    is drawn by ``_drawer`` and scored as drawn."""
     m = len(form.cover)
-    if math.comb(n + m - 1, m - 1) > max(SIMPLEX_ROWS, min(samples, CHUNK_ROWS)):
+    if math.comb(n + m - 1, m - 1) > _budget(samples):
         draw = _drawer(form, n, samples)
 
         def drawn(rng: np.random.Generator, size: int) -> tuple[np.ndarray, np.ndarray]:
@@ -474,11 +461,11 @@ def _scorer(
             return _score(form, n, h), _quadratic(control, h)
 
         return drawn
-    table, cdf = _table(form, n)
+    table, keys = _table(form, n)
     scores, ctl = _score(form, n, table), _quadratic(control, table)
 
     def tabled(rng: np.random.Generator, size: int) -> tuple[np.ndarray, np.ndarray]:
-        at = _inverse_cdf(cdf, rng, size)
+        at = _search(keys, _sorted_halves(rng.random(size)))
         return scores.take(at), ctl.take(at)
 
     return tabled
@@ -501,12 +488,12 @@ def _block_scores(scores: np.ndarray, ctl: np.ndarray) -> np.ndarray:
 
 def _sample(form: HistogramForm, n: int, samples: int, seed: int) -> EstimatorResult:
     """The Monte Carlo driver: the form's value from ``samples`` controlled
-    scores."""
-    if samples < MIN_SAMPLES:
-        raise InvalidParameterError(f"samples must be at least {MIN_SAMPLES}")
+    scores. Each argument is made a Python int, or ``seed << 64`` wraps."""
+    n, samples = _integer("n", n, 1), _integer("samples", samples, MIN_SAMPLES)
+    seed = _integer("seed", seed, 0)
     if n > MAX_N:
         raise InvalidParameterError("Monte Carlo needs n at most 2^63")
-    if not 0 <= seed < SEED_LIMIT:
+    if seed >= SEED_LIMIT:
         raise InvalidParameterError("seed must be in [0, 2^64)")
     if not form.target.any():  # every target message is hidden
         return EstimatorResult(form.constant, 0.0, samples, seed)

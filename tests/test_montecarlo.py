@@ -20,6 +20,7 @@ from shuffleleak import (
     make_zipf,
     matched_message_mi,
     message_mi_exact,
+    message_minus_position_mi,
     position_mi_exact,
     signal_rate,
 )
@@ -38,12 +39,13 @@ from shuffleleak.montecarlo import (
     _control,
     _drawer,
     _estimate,
-    _inverse_cdf,
-    _keyed_split,
+    _keys,
     _proposal,
     _quadratic,
     _score,
     _scorer,
+    _search,
+    _sorted_halves,
     _split_keys,
     _splits,
     _table,
@@ -83,8 +85,8 @@ def plain_block(form, n, seed, size=BLOCK_SIZE):
 
 def table_draw(form, n, seed, block, size):
     """The histograms of one block of a tabled row, as the estimator draws them."""
-    table, cdf = _table(form, n)
-    return table[:, _inverse_cdf(cdf, block_rng(seed, block), size)]
+    table, keys = _table(form, n)
+    return table[:, _search(keys, _sorted_halves(block_rng(seed, block).random(size)))]
 
 
 def within(est, truth, slack=0.0):
@@ -143,13 +145,25 @@ class TestDeterminism:
         r = estimate_message_mi(ZIPF, U4, n, samples=samples, seed=seed)
         assert (r.estimate, r.stderr) == (got.estimate + form.constant, got.stderr)
 
+    @pytest.mark.parametrize("kind", [np.int64, np.uint64, np.int32])
+    def test_a_numpy_integer_draws_as_the_python_integer(self, kind):
+        # a fixed-width seed would wrap to 0 in seed << 64 and draw seed 0's
+        # streams, while the result records seed 7
+        r = make_krr(4, 1.0)
+        for estimate, args in ((estimate_position_mi, (ZIPF, U4)),
+                               (estimate_message_mi, (ZIPF, U4)), (estimate_input_mi, (r, U4))):
+            for n in (16, 1024):  # tabled and drawn
+                want = estimate(*args, n, 300, seed=7)
+                got = estimate(*args, kind(n), kind(300), seed=kind(7))
+                assert got == want and type(got.seed) is int
+
     @pytest.mark.parametrize("case", ["tabled", "drawn", "drawn_m2"])
     def test_a_row_of_at_most_4096_samples_does_not_read_the_block_size(
         self, monkeypatch, case
     ):
         # such a row is block 0 at its own size, from the same key, whatever
-        # BLOCK_SIZE is; the table and root-table rules read SIMPLEX_ROWS, so
-        # m = 2 at n = 8192 (8193 histograms) is drawn, its root by binomial
+        # BLOCK_SIZE is; its table budget is SIMPLEX_ROWS, so m = 2 at
+        # n = 8192 (8193 histograms) is drawn, its root by binomial
         p, q, n = {"tabled": (ZIPF, U4, 8), "drawn": (ZIPF, U4, 1024),
                    "drawn_m2": (M2_P, M2_Q, 8192)}[case]
         results = []
@@ -202,6 +216,29 @@ class TestDegenerate:
             estimate_input_mi(make_krr(4, 1.0), U4, 5, samples=1, seed=0)
         r = estimate_message_mi(ZIPF, U4, 5, samples=2, seed=0)
         assert r.samples == 2 and r.stderr > 0
+
+    @pytest.mark.parametrize("name, call", [
+        ("n", lambda: position_mi_exact(ZIPF, U4, 16.0)),
+        ("n", lambda: message_mi_exact(ZIPF, U4, 16.0)),
+        ("n", lambda: matched_message_mi(ZIPF, 16.0)),
+        ("n", lambda: message_minus_position_mi(ZIPF, U4, 16.0)),
+        ("n", lambda: input_mi_iid_others(make_krr(4, 1.0), U4, 16.0)),
+        ("n", lambda: message_mi_exact(ZIPF, U4, True)),
+        ("n", lambda: estimate_position_mi(ZIPF, U4, 16.0, 300, 1)),
+        ("n", lambda: estimate_message_mi(ZIPF, U4, 16.0, 300, 1)),
+        ("n", lambda: estimate_input_mi(make_krr(4, 1.0), U4, 16.0, 300, 1)),
+        ("samples", lambda: estimate_position_mi(ZIPF, U4, 16, 300.0, 1)),
+        ("samples", lambda: estimate_message_mi(ZIPF, U4, 16, 300.0, 1)),
+        ("samples", lambda: estimate_input_mi(make_krr(4, 1.0), U4, 16, 300.0, 1)),
+        ("seed", lambda: estimate_position_mi(ZIPF, U4, 16, 300, 1.5)),
+        ("seed", lambda: estimate_message_mi(ZIPF, U4, 16, 300, 1.5)),
+        ("seed", lambda: estimate_input_mi(make_krr(4, 1.0), U4, 16, 300, 1.5)),
+        ("seed", lambda: estimate_message_mi(ZIPF, U4, 16, 300, True)),
+    ])
+    def test_a_non_integer_argument_is_refused_by_name(self, name, call):
+        # refused at the boundary, by name, not as a TypeError from deep inside
+        with pytest.raises(InvalidParameterError, match=f"^{name} must be an integer, got"):
+            call()
 
     def test_population_beyond_int64_is_refused(self):
         # the n - 1 cover counts of a draw are an int64
@@ -535,8 +572,8 @@ class TestTableDraw:
     def test_table_law_is_the_draw_law(self, make, n):
         # the table holds each histogram the draw can reach once, with its law
         form = make(n)
-        table, cdf = _table(form, n)
-        law = dict(zip(map(tuple, table.T.astype(int)), np.diff(cdf, prepend=0.0)))
+        table, keys = _table(form, n)
+        law = dict(zip(map(tuple, table.T.astype(int)), np.diff(keys / 2.0**53, prepend=0.0)))
         assert len(law) == table.shape[1]
         every = every_histogram(n, len(form.cover))
         assert math.comb(n + len(form.cover) - 1, n) == len(every)
@@ -734,7 +771,7 @@ class TestKeyedSplit:
     def test_a_split_clipped_to_one_draws_the_parent(self):
         keys = _split_keys(self.N + 1, 1.0)
         parent = np.arange(self.N + 1).repeat(40)
-        assert np.array_equal(_keyed_split(keys, parent, block_rng(0, 0)), parent)
+        assert np.array_equal(_search(keys, block_rng(0, 0).random(len(parent)), parent), parent)
         # the last symbol's share of its range rounds to 0, so that split's p
         # is 1.0 and the symbol never takes a cover
         q = Categorical((1, 2, 3, 4), (0.3, 0.2, 0.5, 1e-300))
@@ -748,7 +785,7 @@ class TestKeyedSplit:
         draws = 10**5
         keys = _split_keys(self.N + 1, p)
         for v in (0, 1, self.N // 2, self.N):
-            x = _keyed_split(keys, np.full(draws, v), block_rng(v, 0))
+            x = _search(keys, block_rng(v, 0).random(draws), np.full(draws, v))
             seen = np.bincount(x, minlength=v + 1)
             assert len(seen) == v + 1 and x.min() >= 0  # every draw is a count of 0..v
             if v == 0:
@@ -788,6 +825,38 @@ class TestKeyedSplit:
         assert set(keyed) == {32, 64, 128}
         assert abs(np.mean(z)) < 0.5 and 0.6 < np.std(z, ddof=1) < 1.5, z
 
+    def test_z_sweeps_where_the_budget_moved_the_table(self, monkeypatch):
+        # rows the shared budget tables that neither SIMPLEX_ROWS nor the
+        # row's samples alone would: a root of 4096 < n <= min(samples,
+        # CHUNK_ROWS), and the child splits of a row of fewer than 4096
+        # samples (n <= 64 at m = 4)
+        tables, keyed = [], []
+        weights, keys = montecarlo.binomial_weights, montecarlo._split_keys
+        monkeypatch.setattr(montecarlo, "binomial_weights",
+                            lambda n, p: tables.append(n) or weights(n, p))
+        monkeypatch.setattr(montecarlo, "_split_keys", lambda n, p: keyed.append(n) or keys(n, p))
+        z = []
+        for p in (ZIPF, U4, make_zipf(3, 1.1)):
+            for n in (6000, CHUNK_ROWS):
+                truth = matched_message_mi(p, n)
+                z += [(est.estimate - truth) / est.stderr for est in
+                      (estimate_message_mi(p, p, n, CHUNK_ROWS, s) for s in range(4))]
+        assert set(tables) == {5999, CHUNK_ROWS - 1} and not keyed
+        assert abs(np.mean(z)) < 0.5 and 0.6 < np.std(z, ddof=1) < 1.5, z
+        z = []
+        r = make_krr(4, 1.0)
+        for n in (48, 64):
+            for estimate, truth in (
+                (lambda s: estimate_position_mi(ZIPF, U4, n, 2000, s),
+                 position_mi_exact(ZIPF, U4, n)),
+                (lambda s: estimate_message_mi(ZIPF, U4, n, 2000, s),
+                 message_mi_exact(ZIPF, U4, n)),
+                (lambda s: estimate_input_mi(r, U4, n, 2000, s), input_mi_iid_others(r, U4, n)),
+            ):
+                z += [(est.estimate - truth) / est.stderr for est in map(estimate, range(4))]
+        assert set(keyed) == {48, 64}
+        assert abs(np.mean(z)) < 0.5 and 0.6 < np.std(z, ddof=1) < 1.5, z
+
     def test_a_short_row_at_large_n_builds_no_new_table(self, monkeypatch):
         # every many_cells row: at most 4096 samples at n = 4096 or 16384
         def refuse(*args):
@@ -799,6 +868,51 @@ class TestKeyedSplit:
             for n in (4096, 16384):
                 for samples in (2, 4096):
                     estimate_message_mi(make_zipf(m, 0.7), make_uniform(m), n, samples, seed=1)
+
+
+def grid_cdf(rng, size):
+    """A random CDF of ``size`` entries: a quarter leading zeros, about half
+    the others exactly on the 2^-53 grid, and a last entry of 1.0."""
+    steps = rng.random(size)
+    steps[: size // 4] = 0.0
+    cdf = np.cumsum(steps) / steps.sum()
+    on_grid = rng.random(size) < 0.5
+    cdf[on_grid] = np.floor(cdf[on_grid] * 2.0**53) / 2.0**53
+    cdf = np.maximum.accumulate(cdf)
+    cdf[-1] = 1.0
+    return cdf
+
+
+def grid_neighbours(cdf):
+    """Every uniform rng.random can return within two grid steps of an
+    entry of ``cdf``: the multiples of 2^-53 in [0, 1) around each."""
+    k = np.floor(cdf * 2.0**53).astype(np.int64)[:, None] + np.arange(-2, 3)
+    return np.unique(np.clip(k, 0, 2**53 - 1)) / 2.0**53
+
+
+class TestSearch:
+    # every table is searched by _search on the keys ceil(F 2^53); it must
+    # return what np.searchsorted(cdf, u, side="right") does on the floats
+
+    def test_one_row_table(self):
+        rng = np.random.default_rng(0)
+        for size in (1, 2, 3, 8, 100, 1000):
+            cdf = grid_cdf(rng, size)
+            u = grid_neighbours(cdf)
+            assert np.array_equal(_search(_keys(cdf), u), np.searchsorted(cdf, u, side="right"))
+
+    def test_parent_keyed_split_table(self):
+        # laid out as _split_keys lays it out: row v holds the keys of its
+        # CDF's first v entries, offset by v 2^53
+        rng = np.random.default_rng(1)
+        rows = [grid_cdf(rng, v + 1) for v in range(64)]
+        keys = np.concatenate([(v << 53) + _keys(cdf[:-1]) for v, cdf in enumerate(rows)])
+        u = [grid_neighbours(cdf) for cdf in rows]
+        want = np.concatenate([np.searchsorted(cdf, x, side="right") for cdf, x in zip(rows, u)])
+        parent = np.repeat(np.arange(64), [len(x) for x in u])
+        order = rng.permutation(len(parent))  # parents arrive in any order
+        got = _search(keys, np.concatenate(u)[order], parent[order])
+        assert np.array_equal(got, want[order])
 
 
 class TestStableVariance:
